@@ -127,15 +127,161 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
     return BindingResult.checked(g, bm, "brute")
 
 
+def _sole_minimiser(g: Graph, sub: int, a: int, c: int) -> bool:
+    """Counting test that S = sub is the only minimiser of c|N(S)| - a|S|.
+
+    Dropping a nonempty T from sub removes from N(sub) exactly the w whose
+    neighbours in sub all lie in T, and each such w has d_w = |N(w) & sub|
+    <= |T|. So the score rises by at least a|T| - c#{w : d_w <= |T|}, which
+    is positive for every T (the empty S included) when a*d > c*i along the
+    d_w sorted ascending, i counting from 1. Sufficient, not necessary.
+    """
+    adj = g.adj
+    nb = g.neighborhood(sub)
+    if c * nb.bit_count() >= a * sub.bit_count():  # fails at i = |N(sub)|: each d_w <= |sub|
+        return False
+    ds = []
+    while nb:
+        lowb = nb & -nb
+        ds.append((adj[lowb.bit_length() - 1] & sub).bit_count())
+        nb ^= lowb
+    ds.sort()
+    return all(a * d > c * i for i, d in enumerate(ds, 1))
+
+
+class _ThresholdNetwork:
+    """The one flow network of a threshold decision a/c, moved between sets.
+
+    Nodes: 0 source, 1 sink, 2 + v the left copy of v, 2 + n + w the right
+    copy of w. Arcs: source -> left v, left v -> right w for each edge vw
+    (capacity a*n + 1, above any cut), right w -> sink (capacity c). The
+    allowed set A is imposed by giving the source arcs of its vertices
+    capacity a and all others 0. A cut whose left source side is S costs
+    a|A - S| + c|N(S)|.
+    """
+
+    def __init__(self, g: Graph, a: int, c: int) -> None:
+        n = g.n
+        self.n, self.adj, self.a = n, g.adj, a
+        self.net = net = Dinic(2 + 2 * n)
+        self.cap = net.cap
+        self.source_arc = []
+        for v in range(n):
+            self.source_arc.append(len(self.cap))
+            net.add_edge(0, 2 + v, 0)
+        self.sink_arc = []
+        for w in range(n):
+            self.sink_arc.append(len(self.cap))
+            net.add_edge(2 + n + w, 1, c)
+        self.middle: list[dict[int, int]] = []  # per v: w -> arc v -> w
+        for v in range(n):
+            arcs = {}
+            for w in vertices_of(g.adj[v]):
+                arcs[w] = len(self.cap)
+                net.add_edge(2 + v, 2 + n + w, a * n + 1)
+            self.middle.append(arcs)
+        self.current = 0  # the allowed set imposed now
+        self.flow = 0
+
+    def _move_to(self, sub: int) -> None:
+        """Cancel the flow of the left vertices leaving, open those entering.
+
+        Every flow path is source-v-w-sink, so the flow through v is
+        cancelled arc by arc along its middle arcs.
+        """
+        cap, sink_arc = self.cap, self.sink_arc
+        leaving = self.current & ~sub
+        while leaving:
+            lowb = leaving & -leaving
+            v = lowb.bit_length() - 1
+            for w, e in self.middle[v].items():
+                k = sink_arc[w]
+                f = cap[e ^ 1]
+                if f:
+                    cap[e] += f
+                    cap[e ^ 1] = 0
+                    cap[k] += f
+                    cap[k ^ 1] -= f
+            e = self.source_arc[v]
+            self.flow -= cap[e ^ 1]
+            cap[e] = cap[e ^ 1] = 0
+            leaving ^= lowb
+        entering = sub & ~self.current
+        while entering:
+            lowb = entering & -entering
+            cap[self.source_arc[lowb.bit_length() - 1]] = self.a
+            entering ^= lowb
+        self.current = sub
+
+    def _push_direct(self) -> None:
+        """Greedily fill source-v-w-sink paths whose sink arc has room.
+
+        Cheaper than a Dinic phase, which then only has to reroute.
+        """
+        cap, sink_arc = self.cap, self.sink_arc
+        free = 0
+        for w in range(self.n):
+            if cap[sink_arc[w]]:
+                free |= 1 << w
+        rest = self.current
+        while rest and free:
+            lowb = rest & -rest
+            v = lowb.bit_length() - 1
+            rest ^= lowb
+            e = self.source_arc[v]
+            cand = self.adj[v] & free
+            while cap[e] and cand:
+                wb = cand & -cand
+                cand ^= wb
+                w = wb.bit_length() - 1
+                m, k = self.middle[v][w], sink_arc[w]
+                f = min(cap[e], cap[k])
+                for arc in (e, m, k):
+                    cap[arc] -= f
+                    cap[arc ^ 1] += f
+                self.flow += f
+                if not cap[k]:
+                    free ^= wb
+
+    def witness(self, sub: int) -> int:
+        """Smallest minimiser of c|N(S)| - a|S| over S inside sub, or 0.
+
+        0 means the minimum is 0, reached by the empty S. The minimiser is
+        the left part of the residual-reachable source side after a
+        maximum flow, the smallest min-cut source side, whichever maximum
+        flow was found; so it does not depend on the flow kept from the
+        previous set.
+        """
+        self._move_to(sub)
+        self._push_direct()
+        self.flow += self.net.maxflow(0, 1)
+        if self.flow >= self.a * sub.bit_count():
+            return 0
+        smask = 0
+        for node in self.net.source_side(0):
+            if 2 <= node < 2 + self.n:
+                smask |= 1 << (node - 2)
+        return smask
+
+
 def binding_below_threshold(
     g: Graph, t: Fraction
 ) -> tuple[bool, Optional[int]]:
     """Decide whether some nonempty S with N(S) != V has |N(S)|/|S| < t.
 
-    One restricted min cut per excluded vertex u: S is forced inside
-    V without N(u), which is exactly the sets with u outside N(S).
-    Returns a witness mask when the answer is yes, aggregated over u by
-    minimum ratio with (size, lex) tie-break.
+    Cunningham's reduction: N(S) misses u exactly when S lies inside the
+    allowed set A = V without N(u), so the smallest minimiser of
+    c|N(S)| - a|S| over S inside A, with t = a/c, is a witness whenever
+    that minimum is negative. One network serves every A of a call
+    (_ThresholdNetwork): moving to the next set keeps the flow of the
+    vertices that stay, and augments from there.
+
+    The sets are visited largest first, and a set inside one that answered
+    no is skipped, since it answers no as well. A set that passes the
+    counting test of _sole_minimiser is its own witness without a flow.
+    Witnesses are aggregated over the sets by minimum ratio with the
+    (size, lex) tie-break of _better, a strict total order, so the
+    visiting order does not change the answer.
     """
     t = Fraction(t)
     if t <= 0:
@@ -144,37 +290,23 @@ def binding_below_threshold(
     iso = _isolated_result(g, "flow")
     if iso is not None:
         return True, iso.witness
-    n = g.n
     full = g.mask_all
-    inf = a * n + c * n + 1
+    allowed = sorted(dict.fromkeys(full & ~row for row in g.adj), key=lambda m: -m.bit_count())
+    net: Optional[_ThresholdNetwork] = None  # built when a set first needs it
     best: Optional[tuple[int, int, int]] = None  # (num, den, mask)
-    seen: set[int] = set()
-    for u in range(n):
-        sub = full & ~g.adj[u]
-        if sub in seen:
+    refused: list[int] = []
+    for sub in allowed:
+        if any(sub & ~no == 0 for no in refused):
             continue
-        seen.add(sub)
-        left = vertices_of(sub)
-        rightmask = g.neighborhood(sub)
-        right = vertices_of(rightmask)
-        rid = {w: 2 + len(left) + j for j, w in enumerate(right)}
-        net = Dinic(2 + len(left) + len(right))
-        for i, v in enumerate(left):
-            net.add_edge(0, 2 + i, a)
-            row = g.adj[v]
-            while row:
-                lowb = row & -row
-                net.add_edge(2 + i, rid[lowb.bit_length() - 1], inf)
-                row ^= lowb
-        for w in right:
-            net.add_edge(rid[w], 1, c)
-        flow = net.maxflow(0, 1)
-        if flow >= a * len(left):
+        if _sole_minimiser(g, sub, a, c):
+            smask = sub
+        else:
+            if net is None:
+                net = _ThresholdNetwork(g, a, c)
+            smask = net.witness(sub)
+        if not smask:
+            refused.append(sub)
             continue
-        smask = 0
-        for node in net.source_side(0):
-            if 2 <= node < 2 + len(left):
-                smask |= 1 << left[node - 2]
         num = g.neighborhood(smask).bit_count()
         den = smask.bit_count()
         if best is None or _better(num, den, smask, *best):

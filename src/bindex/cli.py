@@ -8,11 +8,13 @@ errors, including unreadable input and malformed graph6.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
 
 from .binding import (
+    _BRUTE_MAX,
     binding_number_bruteforce,
     binding_number_flow,
     toughness_bruteforce,
@@ -65,7 +67,9 @@ def _parts(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected comma-separated integers")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args keeps no state)."""
     ap = argparse.ArgumentParser(prog="bindex", description="binding number toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -280,7 +284,7 @@ def _run(args) -> int:
     threads = args.threads if getattr(args, "threads", None) else _default_threads()
     if args.cmd == "binding":
         g = _read_graph(args)
-        if args.method == "brute" or (args.method == "auto" and g.n <= 24):
+        if args.method == "brute" or (args.method == "auto" and g.n <= _BRUTE_MAX):
             res = binding_number_bruteforce(g)
         else:
             res = binding_number_flow(g)

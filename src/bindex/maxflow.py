@@ -1,55 +1,62 @@
 """Dinic max-flow on small dense networks.
 
-Flat parallel arrays (to, cap, next) with head pointers; iterative BFS
-and blocking-flow DFS. Capacities are python ints, so products like
-a*n never overflow.
+Arcs live in flat parallel lists (to, cap), an arc and its reverse at
+indices e and e ^ 1, with a list of outgoing arc indices per node;
+iterative BFS and blocking-flow DFS. Capacities are python ints, so
+products like a*n never overflow.
+
+maxflow augments from whatever flow the capacities already hold, so a
+caller may change capacities between calls (cancel flow, open or close
+arcs) and augment again from a warm start instead of rebuilding.
 """
 
 from __future__ import annotations
 
 
 class Dinic:
-    __slots__ = ("n", "head", "to", "cap", "nxt", "level", "it")
+    __slots__ = ("n", "out", "to", "cap", "level", "it")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.head = [-1] * n
+        self.out: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.nxt: list[int] = []
-        self.level = [0] * n
+        self.level = [-1] * n
         self.it = [0] * n
 
     def add_edge(self, u: int, v: int, c: int) -> None:
-        self.to.append(v)
-        self.cap.append(c)
-        self.nxt.append(self.head[u])
-        self.head[u] = len(self.to) - 1
-        self.to.append(u)
-        self.cap.append(0)
-        self.nxt.append(self.head[v])
-        self.head[v] = len(self.to) - 1
+        e = len(self.to)
+        self.to += (v, u)
+        self.cap += (c, 0)
+        self.out[u].append(e)
+        self.out[v].append(e + 1)
 
     def _bfs(self, s: int, t: int) -> bool:
+        """Level the residual graph from s; stop once t is reached.
+
+        When t is unreachable the levelling is complete, so afterwards
+        level[v] >= 0 exactly for the residual-reachable v.
+        """
         level = self.level
-        for i in range(self.n):
-            level[i] = -1
+        level[:] = [-1] * self.n
         level[s] = 0
         queue = [s]
-        head, to, cap, nxt = self.head, self.to, self.cap, self.nxt
+        out, to, cap = self.out, self.to, self.cap
         for u in queue:
-            e = head[u]
-            while e != -1:
-                if cap[e] > 0 and level[to[e]] == -1:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-                e = nxt[e]
-        return level[t] != -1
+            lv = level[u] + 1
+            for e in out[u]:
+                w = to[e]
+                if cap[e] and level[w] < 0:
+                    level[w] = lv
+                    if w == t:
+                        return True
+                    queue.append(w)
+        return False
 
     def _dfs(self, s: int, t: int) -> int:
         # iterative blocking flow over the level graph
         total = 0
-        level, it, to, cap, nxt = self.level, self.it, self.to, self.cap, self.nxt
+        level, it, out, to, cap = self.level, self.it, self.out, self.to, self.cap
         path: list[int] = []
         v = s
         while True:
@@ -68,42 +75,38 @@ class Dinic:
                 del path[cut:]
                 v = s if not path else to[path[-1]]
                 continue
-            e = it[v]
-            while e != -1 and not (cap[e] > 0 and level[to[e]] == level[v] + 1):
-                e = nxt[e]
-            it[v] = e
-            if e != -1:
-                path.append(e)
-                v = to[e]
-                continue
-            # dead end: drop v from the level graph and step back
-            level[v] = -1
-            if not path:
-                break
-            back = path.pop()
-            v = s if not path else to[path[-1]]
-            it[v] = nxt[back]
+            arcs = out[v]
+            lv = level[v] + 1
+            for i in range(it[v], len(arcs)):
+                e = arcs[i]
+                if cap[e] and level[to[e]] == lv:
+                    it[v] = i
+                    path.append(e)
+                    v = to[e]
+                    break
+            else:
+                # dead end: drop v from the level graph and step back
+                level[v] = -1
+                if not path:
+                    break
+                path.pop()
+                v = s if not path else to[path[-1]]
+                it[v] += 1
         return total
 
     def maxflow(self, s: int, t: int) -> int:
+        """Augment to a maximum flow; returns the flow added by this call."""
         flow = 0
         while self._bfs(s, t):
-            for i in range(self.n):
-                self.it[i] = self.head[i]
+            self.it[:] = [0] * self.n
             flow += self._dfs(s, t)
         return flow
 
     def source_side(self, s: int) -> list[int]:
-        """Residual-reachable vertices from s after maxflow: the min cut side."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        head, to, cap, nxt = self.head, self.to, self.cap, self.nxt
-        for u in queue:
-            e = head[u]
-            while e != -1:
-                if cap[e] > 0 and not seen[to[e]]:
-                    seen[to[e]] = True
-                    queue.append(to[e])
-                e = nxt[e]
-        return [v for v in range(self.n) if seen[v]]
+        """Residual-reachable vertices from s after maxflow(s, t): the min cut side.
+
+        This is the smallest source side over all minimum cuts, whichever
+        maximum flow was found. The final, failing BFS of maxflow already
+        levelled exactly these vertices.
+        """
+        return [v for v, lv in enumerate(self.level) if lv >= 0]

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .binding import (
+    _BRUTE_MAX,
     binding_number_bruteforce,
     binding_number_flow,
     binding_sets_all,
@@ -69,7 +70,6 @@ _BIADJ_LIMIT = 28
 _CHUNK = 1 << 22
 _AUDIT_STRIDE = 1000
 _DEFAULT_SEED = 1009
-_BRUTE_LIMIT = 24
 
 PASS = "pass"
 FAIL = "fail"
@@ -122,7 +122,7 @@ class VerificationReport:
 
 
 def _exact_binding(g: Graph):
-    if g.n <= _BRUTE_LIMIT:
+    if g.n <= _BRUTE_MAX:
         return binding_number_bruteforce(g)
     return binding_number_flow(g)
 

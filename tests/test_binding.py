@@ -1,5 +1,7 @@
 """Exact binding number, threshold decision, binding sets, toughness."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ import pytest
 
 from bindex.binding import (
     BindingResult,
+    _better,
+    _sole_minimiser,
     binding_below_threshold,
     binding_number_bruteforce,
     binding_number_flow,
@@ -141,6 +145,124 @@ def test_flow_equals_brute_random():
             assert Fraction(
                 g.neighborhood(rf.witness).bit_count(), rf.witness.bit_count()
             ) == rb.value
+
+
+def _minimisers(g, sub, a, c):
+    """(minimum, minimisers) of c|N(S)| - a|S| over all S inside sub."""
+    scores = {}
+    s = sub
+    while True:
+        scores[s] = c * g.neighborhood(s).bit_count() - a * s.bit_count()
+        if s == 0:
+            break
+        s = (s - 1) & sub
+    low = min(scores.values())
+    return low, [s for s, f in scores.items() if f == low]
+
+
+def _threshold_oracle(g, t):
+    """binding_below_threshold by subset scan, independent of any flow.
+
+    For each distinct allowed set A = V - N(u), the witness is the
+    smallest minimiser (the intersection of all minimisers) of
+    c|N(S)| - a|S| over S inside A, kept when that minimum is negative;
+    the kept witnesses are aggregated with _better.
+    """
+    iso = g.isolated_vertices()
+    if iso:
+        return True, iso & -iso
+    a, c = t.numerator, t.denominator
+    best = None
+    for sub in {g.mask_all & ~row for row in g.adj}:
+        low, args = _minimisers(g, sub, a, c)
+        if low == 0:
+            continue
+        arg = functools.reduce(operator.and_, args)
+        cand = (g.neighborhood(arg).bit_count(), arg.bit_count(), arg)
+        if best is None or _better(*cand, *best):
+            best = cand
+    return (False, None) if best is None else (True, best[2])
+
+
+def test_sole_minimiser_test_is_sound():
+    rng = random.Random(2283)
+    passed = 0
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        g = _random_graph(rng, n, rng.uniform(0.25, 0.9))
+        a, c = rng.randint(1, n), rng.randint(1, n)
+        for sub in {g.mask_all & ~row for row in g.adj}:
+            if _sole_minimiser(g, sub, a, c):
+                passed += 1
+                assert _minimisers(g, sub, a, c)[1] == [sub], (g.adj, sub, a, c)
+    assert passed > 300
+
+
+def test_threshold_witness_matches_subset_oracle():
+    rng = random.Random(2282)
+    yes = 0
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        g = _random_graph(rng, n, rng.uniform(0.25, 0.9))
+        t = Fraction(rng.randint(1, n), rng.randint(1, n))
+        got = binding_below_threshold(g, t)
+        assert got == _threshold_oracle(g, t), (n, g.adj, t)
+        yes += got[0]
+    assert 600 < yes < 1400
+
+
+# (n, p, b(G), witness) from binding_number_flow on G(n, p) drawn by
+# _random_graph(random.Random(7000 + i), n, p) for n = 25 + i; sizes past
+# the brute-force cap, where the CLI prints the flow witness
+FROZEN_FLOW = [
+    (25, 0.12, "0", 0x8),
+    (26, 0.2, "1", 0x8),
+    (27, 0.35, "13/12", 0x7bfebff),
+    (28, 0.6, "27/19", 0xf9b974f),
+    (29, 0.12, "1", 0x2),
+    (30, 0.2, "29/28", 0x3fffbfef),
+    (31, 0.35, "10/9", 0x77fefedf),
+    (32, 0.6, "31/19", 0xb9dbeb05),
+    (33, 0.12, "1/2", 0x20000004),
+    (34, 0.2, "33/32", 0x3fffff9ff),
+    (35, 0.35, "17/15", 0x4feffffed),
+    (36, 0.6, "5/3", 0x38bde4adb),
+    (37, 0.12, "0", 0x100000),
+    (38, 0.2, "37/36", 0x3fffffe7ff),
+    (39, 0.35, "19/16", 0x3fffbaaffd),
+    (40, 0.6, "39/23", 0xdbe3ae1f14),
+    (41, 0.12, "0", 0x80000),
+    (42, 0.2, "41/39", 0x3bdffffffdf),
+    (43, 0.35, "6/5", 0x6f3efb6dfff),
+    (44, 0.6, "43/23", 0xb63bb30ab19),
+    (45, 0.12, "44/43", 0x1ffdfffffffd),
+    (46, 0.2, "45/43", 0x3febfffbffff),
+    (47, 0.35, "46/37", 0x76e9ff5fbdfd),
+    (48, 0.6, "47/27", 0xa64b463ad5fe),
+    (49, 0.12, "1", 0x100000000000),
+    (50, 0.2, "49/44", 0x3fbffffdfaf7d),
+    (51, 0.35, "25/21", 0x77feffebb8bff),
+    (52, 0.6, "17/10", 0xae9fa433e31f9),
+    (53, 0.12, "1", 0x400000000000),
+    (54, 0.2, "53/49", 0x3fbfff9fefefff),
+    (55, 0.35, "54/43", 0x5ffff992f1fbff),
+    (56, 0.6, "11/6", 0x8e6f40e7a0d97d),
+    (57, 0.12, "56/55", 0x1ffffff7fefffff),
+    (58, 0.2, "57/55", 0x3fbffeffffff7ff),
+    (59, 0.35, "58/49", 0x77bbfe7fffcdf7e),
+    (60, 0.6, "59/31", 0xe43bba814d356cd),
+    (61, 0.12, "30/29", 0x1fffffffddfffbff),
+    (62, 0.2, "61/57", 0x3dffefcfffffefff),
+    (63, 0.35, "31/24", 0x6f7fddd97bf9cef7),
+    (64, 0.6, "7/4", 0xf60aca6f73cdc5d1),
+]
+
+
+def test_flow_witnesses_frozen_beyond_brute_cap():
+    for i, (n, p, value, witness) in enumerate(FROZEN_FLOW):
+        g = _random_graph(random.Random(7000 + i), n, p)
+        r = binding_number_flow(g)
+        assert (r.value, r.witness) == (Fraction(value), witness), n
 
 
 def test_flow_beyond_brute_cap():
