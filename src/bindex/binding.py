@@ -362,7 +362,7 @@ def toughness_bruteforce(g: Graph) -> Fraction:
         raise LimitError(f"toughness brute force capped at n <= {_TOUGH_MAX}")
     n = g.n
     full = g.mask_all
-    if all(row == full ^ (1 << v) for v, row in enumerate(g.adj)):
+    if g.is_complete():
         raise DomainError("toughness undefined for complete graphs")
     if not g.is_connected():
         return Fraction(0)

@@ -334,11 +334,11 @@ def _run(args) -> int:
         return 0
     if args.cmd == "scan":
         if args.what == "family":
-            rep = scan_family_general(args.n, args.r, threads=threads)
+            rep = scan_family_general(args.n, args.r)
         elif args.what == "bipfamily":
-            rep = scan_bipartite_family(args.p, args.q, args.r, threads=threads)
+            rep = scan_bipartite_family(args.p, args.q, args.r)
         else:
-            rep = scan_lemma12(args.n, args.r, threads=threads)
+            rep = scan_lemma12(args.n, args.r)
         return _emit_report(args, rep)
     if args.cmd == "verify":
         if args.what == "lemma6":

@@ -10,7 +10,7 @@ g, or certified root comparisons for the spectral variant. No floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .graph import (
@@ -63,6 +63,7 @@ class RegimeReport:
     p: Optional[int] = None
     q: Optional[int] = None
     notes: tuple[str, ...] = ()
+    constructions: tuple[Construction, ...] = ()
 
     def __post_init__(self) -> None:
         if self.regime not in _REGIMES:
@@ -222,6 +223,7 @@ def lemma6_max(p: int, q: int, r: int) -> RegimeReport:
         hypothesis_ok=True,
         p=p,
         q=q,
+        constructions=(ext,),
     )
 
 
@@ -233,6 +235,27 @@ def _bip_candidates(n: int, r: int) -> tuple[Construction, list[Construction], t
     if (n - r - 1) % 2 == 0:
         return k, [d_ceil], ()
     return k, [d_ceil, bipartite_extremal_D(n, r, "floor")], ()
+
+
+def _bip_report(
+    n: int,
+    r: int,
+    regime: str,
+    claimed_max: Union[int, RootInterval],
+    winners: tuple[Construction, ...],
+    hyp: bool,
+    notes: tuple[str, ...],
+) -> RegimeReport:
+    return RegimeReport(
+        n=n,
+        r=r,
+        regime=regime,
+        claimed_max=claimed_max,
+        extremal_descriptions=tuple(c.label for c in winners),
+        hypothesis_ok=hyp,
+        notes=notes,
+        constructions=winners,
+    )
 
 
 def theorem6_regime(n: int, r: int) -> RegimeReport:
@@ -247,45 +270,13 @@ def theorem6_regime(n: int, r: int) -> RegimeReport:
     f = f_formula(n, r)
     g = g_formula(n, r)
     if r == 1:
-        return RegimeReport(
-            n=n,
-            r=r,
-            regime="bip_f_gt_g",
-            claimed_max=f,
-            extremal_descriptions=(k.label,),
-            hypothesis_ok=hyp,
-            notes=("for r = 1 the complete bipartite side wins regardless of f vs g",)
-            + notes,
-        )
+        notes = ("for r = 1 the complete bipartite side wins regardless of f vs g",) + notes
+        return _bip_report(n, r, "bip_f_gt_g", f, (k,), hyp, notes)
     if f > g:
-        return RegimeReport(
-            n=n,
-            r=r,
-            regime="bip_f_gt_g",
-            claimed_max=f,
-            extremal_descriptions=(k.label,),
-            hypothesis_ok=hyp,
-            notes=notes,
-        )
+        return _bip_report(n, r, "bip_f_gt_g", f, (k,), hyp, notes)
     if f < g:
-        return RegimeReport(
-            n=n,
-            r=r,
-            regime="bip_f_lt_g",
-            claimed_max=g,
-            extremal_descriptions=tuple(d.label for d in ds),
-            hypothesis_ok=hyp,
-            notes=notes,
-        )
-    return RegimeReport(
-        n=n,
-        r=r,
-        regime="bip_tie",
-        claimed_max=f,
-        extremal_descriptions=(k.label,) + tuple(d.label for d in ds),
-        hypothesis_ok=hyp,
-        notes=notes,
-    )
+        return _bip_report(n, r, "bip_f_lt_g", g, tuple(ds), hyp, notes)
+    return _bip_report(n, r, "bip_tie", f, (k, *ds), hyp, notes)
 
 
 def theorem7_regime(n: int, r: int) -> RegimeReport:
@@ -300,52 +291,18 @@ def theorem7_regime(n: int, r: int) -> RegimeReport:
     f = f_formula(n, r)
     k_poly = IntPolynomial([-f, 0, 1])
     if r == 1 or not ds:
-        extra = (
-            ("for r = 1 the complete bipartite side wins regardless of the radii",)
-            if r == 1
-            else ()
-        )
-        return RegimeReport(
-            n=n,
-            r=r,
-            regime="bip_f_gt_g",
-            claimed_max=largest_real_root(k_poly),
-            extremal_descriptions=(k.label,),
-            hypothesis_ok=hyp,
-            notes=extra + notes,
-        )
+        if r == 1:
+            notes = ("for r = 1 the complete bipartite side wins regardless of the radii",) + notes
+        return _bip_report(n, r, "bip_f_gt_g", largest_real_root(k_poly), (k,), hyp, notes)
     d_poly = family_polynomial("h2", n=n, r=r)
     order = compare_radii(k_poly, d_poly)
     if order == "Greater":
-        return RegimeReport(
-            n=n,
-            r=r,
-            regime="bip_f_gt_g",
-            claimed_max=largest_real_root(k_poly),
-            extremal_descriptions=(k.label,),
-            hypothesis_ok=hyp,
-            notes=notes,
-        )
+        return _bip_report(n, r, "bip_f_gt_g", largest_real_root(k_poly), (k,), hyp, notes)
     if order == "Less":
-        return RegimeReport(
-            n=n,
-            r=r,
-            regime="bip_f_lt_g",
-            claimed_max=largest_real_root(d_poly),
-            extremal_descriptions=(ds[0].label,),
-            hypothesis_ok=hyp,
-            notes=("radius maximizer is the ceil variant only",) + notes,
-        )
-    return RegimeReport(
-        n=n,
-        r=r,
-        regime="bip_tie",
-        claimed_max=largest_real_root(k_poly),
-        extremal_descriptions=(k.label, ds[0].label),
-        hypothesis_ok=hyp,
-        notes=(
-            "tie-case double nested graph expanded from its abbreviated form as "
-            f"D({n - r - 1 - beta_value(n, r)},{r + 1};1,{beta_value(n, r) - 1})",
-        )
-        + notes,
-    )
+        notes = ("radius maximizer is the ceil variant only",) + notes
+        return _bip_report(n, r, "bip_f_lt_g", largest_real_root(d_poly), (ds[0],), hyp, notes)
+    notes = (
+        "tie-case double nested graph expanded from its abbreviated form as "
+        f"D({n - r - 1 - beta_value(n, r)},{r + 1};1,{beta_value(n, r) - 1})",
+    ) + notes
+    return _bip_report(n, r, "bip_tie", largest_real_root(k_poly), (k, ds[0]), hyp, notes)

@@ -137,6 +137,10 @@ class Graph:
             seen |= comp
         return out
 
+    def is_complete(self) -> bool:
+        full = self.mask_all
+        return all(row == full ^ (1 << v) for v, row in enumerate(self.adj))
+
     def is_connected(self) -> bool:
         comp = 1
         while True:
@@ -193,18 +197,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
-
-
-def neighborhood_of_set(g: Graph, s: int) -> int:
-    return g.neighborhood(s)
-
-
-def is_independent(g: Graph, s: int) -> bool:
-    return g.is_independent(s)
-
-
-def components(g: Graph) -> list[int]:
-    return g.components()
 
 
 def complete(n: int) -> Graph:

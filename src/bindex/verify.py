@@ -6,14 +6,19 @@ never decide anything. Scans are deterministic: fixed shard order, fixed
 audit rule, canonically sorted witness lists. elapsed_ms is the one
 counter excluded from determinism comparisons.
 
-Bipartite enumeration walks biadjacency masks in numpy chunks. The
-membership test (binding number below 1/r) uses the one-sided reduction:
-for a bipartite graph with no isolated vertex the minimum ratio is
-attained by a subset of one side, so it suffices to test subsets T of
-either side for r * |N(T)| < |T|. Scans are seeded by an exact lower
-bound (the predicted extremal graph, whose membership is re-verified by
-full binding computation first), which makes the popcount-thresholded
-sweep exhaustive for the maximum and its maximizers.
+Bipartite enumeration walks biadjacency masks in numpy chunks and first
+drops every mask with an isolated vertex. For the survivors, with parts
+X (p rows) and Y (q <= p columns), b < 1/r holds iff some T inside one
+side has r * |N(T)| < |T|, and one table over the subsets U of Y decides
+both sides: with c(U) = #{x in X : N(x) inside U}, the X side holds iff
+r * |U| < c(U) for some U (take U = N(T), or T = {x : N(x) inside U}),
+and the Y side iff r * (p - c(U)) < |Y - U| for some U, because
+|N(T)| = p - c(Y - T). The reduction needs the no-isolated-vertex
+filter: it is what makes |N(T)| >= 1, so sets with |T| <= r never count.
+Scans are seeded by an exact lower bound (the predicted extremal graph,
+whose membership is re-verified by full binding computation first),
+which makes the popcount-thresholded sweep exhaustive for the maximum
+and its maximizers.
 """
 
 from __future__ import annotations
@@ -46,25 +51,16 @@ from .constructions import (
     lemma6_max,
     theorem6_regime,
 )
-from .graph import (
-    BipartitionSpec,
-    DomainError,
-    Graph,
-    LimitError,
-    complete_bipartite,
-    double_nested,
-    is_independent,
-)
+from .graph import BipartitionSpec, DomainError, Graph, LimitError, double_nested
 from .polynomials import (
     EQUAL,
     GREATER,
-    LESS,
     IntPolynomial,
     RootInterval,
     compare_largest_roots,
     largest_real_root,
 )
-from .spectral import charpoly, family_polynomial, quotient_matrix
+from .spectral import charpoly, compare_radii, family_polynomial, quotient_matrix
 
 _BIADJ_LIMIT = 28
 _CHUNK = 1 << 22
@@ -173,57 +169,24 @@ def _biadj_of_construction(c: Construction, p: int, q: int) -> int:
     return mask
 
 
-def _one_sided_member(mask: int, p: int, q: int, r: int) -> bool:
-    """Scalar membership test; mirrors the vectorized path."""
-    rows = [(mask >> (q * i)) & ((1 << q) - 1) for i in range(p)]
-    for t in range(1, 1 << q):
-        tsz = t.bit_count()
-        if tsz <= r:
-            continue
-        hits = sum(1 for row in rows if row & t)
-        if r * hits < tsz:
-            return True
-    tmask = _transpose_int(mask, p, q)
-    cols = [(tmask >> (p * j)) & ((1 << p) - 1) for j in range(q)]
-    for t in range(1, 1 << p):
-        tsz = t.bit_count()
-        if tsz <= r:
-            continue
-        hits = sum(1 for col in cols if col & t)
-        if r * hits < tsz:
-            return True
-    return False
+def _member(ms: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    """b < 1/r for each mask, which must have no isolated vertex.
 
-
-def _member_vec(ms: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    Some U inside Y needs c(U) > bound(U), where bound(U) is r * |U| for
+    the X side and, when |Y - U| > r, (r * p - |Y - U|) // r for the Y side.
+    A U with bound(U) >= p can never hold, as c(U) <= p.
+    """
+    full = (1 << q) - 1
+    # p * q <= 28 and q <= p give q <= 5, so a row fits in a uint8
+    rows = np.stack([(ms >> np.uint64(q * i)).astype(np.uint8) & full for i in range(p)])
     ok = np.zeros(ms.shape, bool)
-    for t in range(1, 1 << q):
-        tsz = t.bit_count()
-        if tsz <= r:
-            continue
-        hits = np.zeros(ms.shape, np.int64)
-        tt = np.uint64(t)
-        for i in range(p):
-            hits += ((ms >> np.uint64(q * i)) & tt) != 0
-        ok |= r * hits < tsz
-    todo = ~ok
-    if todo.any():
-        rest = ms[todo]
-        tr = np.zeros_like(rest)
-        for i in range(p):
-            for j in range(q):
-                tr |= ((rest >> np.uint64(i * q + j)) & np.uint64(1)) << np.uint64(j * p + i)
-        sub = np.zeros(rest.shape, bool)
-        for t in range(1, 1 << p):
-            tsz = t.bit_count()
-            if tsz <= r:
-                continue
-            hits = np.zeros(rest.shape, np.int64)
-            tt = np.uint64(t)
-            for j in range(q):
-                hits += ((tr >> np.uint64(p * j)) & tt) != 0
-            sub |= r * hits < tsz
-        ok[np.nonzero(todo)[0][sub]] = True
+    for u in range(full + 1):
+        t = q - u.bit_count()
+        bound = r * u.bit_count()
+        if t > r:
+            bound = min(bound, (r * p - t) // r)
+        if bound < p:
+            ok |= np.count_nonzero((rows & (full ^ u)) == 0, axis=0) > bound
     return ok
 
 
@@ -253,12 +216,7 @@ def _scan_range(args) -> tuple[int, list[int], int, int, int]:
         if chunk.size == 0:
             continue
         survivors += int(chunk.size)
-        if chunk.size <= 64:
-            member = np.array(
-                [_one_sided_member(int(m), p, q, r) for m in chunk], bool
-            )
-        else:
-            member = _member_vec(chunk, p, q, r)
+        member = _member(chunk, p, q, r)
         for idx in np.nonzero(chunk % np.uint64(_AUDIT_STRIDE) == 0)[0].tolist():
             audited += 1
             m = int(chunk[idx])
@@ -434,7 +392,7 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
             winners = [(m, p, q) for m in masks]
         elif b == best and b >= 0:
             winners.extend((m, p, q) for m in masks)
-    expected = _regime_shapes(regime, n, r)
+    expected = _regime_shapes(regime)
     found = {_canon_shape(m, p, q) for m, p, q in winners}
     claims_ok = (
         best == regime.claimed_max and found == expected and audit_bad == 0
@@ -472,30 +430,12 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
     )
 
 
-def _construction_of_label(label: str) -> tuple[Construction, int, int]:
-    if label.startswith("Kab("):
-        a, b = (int(x) for x in label[4:-1].split(","))
-        g = complete_bipartite(a, b)
-        blocks = ((1 << a) - 1, ((1 << (a + b)) - 1) ^ ((1 << a) - 1))
-        return Construction(label=label, graph=g, blocks=blocks), a, b
-    if label.startswith("D("):
-        xs, ys = label[2:-1].split(";")
-        p1, p2 = (int(x) for x in xs.split(","))
-        q1, q2 = (int(x) for x in ys.split(","))
-        spec = BipartitionSpec((p1, p2), (q1, q2))
-        return (
-            Construction(label=label, graph=double_nested(spec), blocks=spec.blocks()),
-            p1 + p2,
-            q1 + q2,
-        )
-    raise DomainError(f"unrecognized construction label {label!r}")
-
-
-def _regime_shapes(regime: RegimeReport, n: int, r: int) -> set:
+def _regime_shapes(regime: RegimeReport) -> set:
     shapes = set()
-    for label in regime.extremal_descriptions:
-        cons, a, b = _construction_of_label(label)
-        shapes.add(_canon_shape(_biadj_of_construction(cons, a, b), a, b))
+    for cons in regime.constructions:
+        p = cons.graph.bipartition()[0].bit_count()
+        q = cons.graph.n - p
+        shapes.add(_canon_shape(_biadj_of_construction(cons, p, q), p, q))
     return shapes
 
 
@@ -545,19 +485,14 @@ def enumerate_general_properties(
             graph_bad = True
         if b < one:
             for s in binding_sets_all(g):
-                if not is_independent(g, s):
+                if not g.is_independent(s):
                     failures["independence"] += 1
                     graph_bad = True
                     break
-        if b <= one:
-            complete_g = all(
-                g.adj[v] == g.mask_all ^ (1 << v) for v in range(g.n)
-            )
-            if not complete_g:
-                tau = toughness_bruteforce(g)
-                if tau > b:
-                    failures["toughness"] += 1
-                    graph_bad = True
+        if b <= one and not g.is_complete():
+            if toughness_bruteforce(g) > b:
+                failures["toughness"] += 1
+                graph_bad = True
         if graph_bad and len(bad) < 32:
             bad.append(graph6_encode(g))
     ok = all(v == 0 for v in failures.values())
@@ -593,7 +528,7 @@ def _certified_argmax(items: Sequence[tuple[object, IntPolynomial]]):
     return [items[i][0] for i in best]
 
 
-def scan_family_general(n: int, r: int, threads: int = 1) -> VerificationReport:
+def scan_family_general(n: int, r: int) -> VerificationReport:
     """Sweep t1 over the join family; the t1 = 1 member should dominate."""
     if r < 1:
         raise DomainError("r must be at least 1")
@@ -751,7 +686,7 @@ def check_polynomial_identities(grid=None) -> VerificationReport:
     )
 
 
-def scan_bipartite_family(p: int, q: int, r: int, threads: int = 1) -> VerificationReport:
+def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
     """Sweep both double nested families over t; replay the argmax claims."""
     if not (p >= q >= 1 and r >= 1):
         raise DomainError("need p >= q >= 1 and r >= 1")
@@ -805,11 +740,9 @@ def scan_bipartite_family(p: int, q: int, r: int, threads: int = 1) -> Verificat
         chain_ok = True
         chain_rows = []
         for t in range(2, (p - 2) // r + 1):
-            out = compare_largest_roots(
-                family_polynomial("g5", p=p, q=q, r=r, t=t), ref
-            )
-            chain_rows.append({"t": t, "order": {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}[out]})
-            chain_ok &= out == LESS
+            order = compare_radii(family_polynomial("g5", p=p, q=q, r=r, t=t), ref)
+            chain_rows.append({"t": t, "order": order})
+            chain_ok &= order == "Less"
         checks["radius_chain"] = chain_rows
         checks["radius_chain_ok"] = chain_ok
     fact_keys = [k for k in ("a_argmax_ok", "radius_chain_ok") if k in checks]
@@ -839,7 +772,7 @@ def scan_bipartite_family(p: int, q: int, r: int, threads: int = 1) -> Verificat
     )
 
 
-def scan_lemma12(n: int, r: int, threads: int = 1) -> VerificationReport:
+def scan_lemma12(n: int, r: int) -> VerificationReport:
     """Certify the radius maximum over q at q = floor((n-r-1)/2)."""
     if r < 2:
         raise DomainError("r must be at least 2")
@@ -861,14 +794,10 @@ def scan_lemma12(n: int, r: int, threads: int = 1) -> VerificationReport:
         cp = charpoly(quotient_matrix(g, spec.blocks()))
         if cp != family_polynomial("h1", n=n, q=q, r=r):
             raise AssertionError("quotient charpoly does not match h1 transcription")
-        out = compare_largest_roots(cp, ref)
-        order = {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}[out]
+        order = compare_radii(cp, ref)
         iv = largest_real_root(cp)
         rows.append({"q": q, "edges": g.edge_count(), "order_vs_beta": order, **_interval_fields(iv)})
-        if q == beta:
-            ok &= out == EQUAL
-        else:
-            ok &= out == LESS
+        ok &= order == ("Equal" if q == beta else "Less")
     argmax = [row["q"] for row in rows if row["order_vs_beta"] == "Equal"]
     expected_argmax = [beta] if q_lo <= beta <= q_hi else []
     winner_spec = BipartitionSpec((n - beta - r - 1, r + 1), (1, beta - 1))

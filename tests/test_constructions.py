@@ -22,7 +22,7 @@ from bindex.constructions import (
     theorem6_regime,
     theorem7_regime,
 )
-from bindex.graph import DomainError, complete_bipartite
+from bindex.graph import BipartitionSpec, DomainError, complete_bipartite, double_nested
 from bindex.polynomials import RootInterval
 
 
@@ -149,6 +149,7 @@ def test_lemma6_claimed_max_matches_graph():
                 c = lemma6_extremal(p, q, r)
                 assert c.edge_count == rep.claimed_max, (p, q, r)
                 assert c.label == rep.extremal_descriptions[0]
+                assert rep.constructions == (c,)
                 g = c.graph
                 assert g.isolated_vertices() == 0
                 assert binding_number_bruteforce(g).value < Fraction(1, r)
@@ -212,6 +213,31 @@ def test_theorem7_regime():
     assert rep.extremal_descriptions == ("Kab(19,6)",)
     with pytest.raises(DomainError):
         theorem7_regime(4, 2)
+
+
+def _graph_of_label(label):
+    """Rebuild a graph from its "Kab(a,b)" or "D(p1,p2;q1,q2)" label."""
+    if label.startswith("Kab("):
+        a, b = (int(x) for x in label[4:-1].split(","))
+        return complete_bipartite(a, b)
+    xs, ys = label[2:-1].split(";")
+    spec = BipartitionSpec(
+        tuple(int(x) for x in xs.split(",")), tuple(int(y) for y in ys.split(","))
+    )
+    return double_nested(spec)
+
+
+def test_regime_constructions_match_their_labels():
+    regimes = set()
+    for r in range(1, 5):
+        for n in range(r + 3, r + 30):
+            for rep in (theorem6_regime(n, r), theorem7_regime(n, r)):
+                regimes.add(rep.regime)
+                labels = tuple(c.label for c in rep.constructions)
+                assert labels == rep.extremal_descriptions, (n, r)
+                for c in rep.constructions:
+                    assert c.graph == _graph_of_label(c.label)
+    assert regimes == {"bip_f_gt_g", "bip_f_lt_g", "bip_tie"}
 
 
 def test_regime_report_validation():

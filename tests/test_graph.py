@@ -115,6 +115,10 @@ def test_complete_builders():
     k72 = complete_bipartite(7, 2)
     assert k72.edge_count() == 14
     assert complete_bipartite(1, 1) == complete(2)
+    assert k4.is_complete() and complete(1).is_complete()
+    assert complete_bipartite(1, 1).is_complete()
+    assert not k72.is_complete() and not cycle(4).is_complete()
+    assert not disjoint_union(complete(1), complete(1)).is_complete()
     with pytest.raises(DomainError):
         complete(0)
     with pytest.raises(DomainError):

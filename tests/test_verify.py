@@ -2,13 +2,21 @@
 
 import json
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bindex.binding import binding_number_bruteforce, binding_number_flow
 from bindex.codec import graph6_decode
 from bindex.graph import DomainError, LimitError
 from bindex.verify import (
     VerificationReport,
+    _colmasks,
+    _graph_of_biadj,
+    _member,
+    _transpose_int,
     check_polynomial_identities,
     enumerate_bipartite_max,
     enumerate_bipartite_theorem6,
@@ -75,6 +83,64 @@ def test_bipartite_max_deterministic_and_parallel():
     assert a.comparable() == c.comparable()
     d = enumerate_bipartite_max(4, 4, 1, threads=2)
     assert d.comparable() == enumerate_bipartite_max(4, 4, 1).comparable()
+
+
+def _no_isolated_vertex(m, p, q):
+    rows = (1 << q) - 1
+    return all(m >> (q * i) & rows for i in range(p)) and all(m & c for c in _colmasks(p, q))
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 2), (6, 2), (12, 1)])
+def test_member_kernel_matches_exact_binding(p, q):
+    masks = [m for m in range(1 << (p * q)) if _no_isolated_vertex(m, p, q)]
+    ms = np.array(masks, dtype=np.uint64)
+    values = [binding_number_bruteforce(_graph_of_biadj(m, p, q)).value for m in masks]
+    for r in (1, 2, 3):
+        want = [v < Fraction(1, r) for v in values]
+        assert _member(ms, p, q, r).tolist() == want, r
+        for i in range(0, len(masks), 7):  # one-mask arrays
+            assert _member(ms[i : i + 1], p, q, r).tolist() == [want[i]], (masks[i], r)
+
+
+@pytest.mark.parametrize(
+    "p,q,rs", [(7, 4, (1, 2, 3)), (9, 3, (2, 3, 4)), (14, 2, (1, 7, 9))]
+)
+def test_member_kernel_matches_flow_on_samples(p, q, rs):
+    rng = random.Random(p * q)
+    masks = []
+    while len(masks) < 60:
+        # rows crowd into a few heavy columns, so that large r also has members
+        density = rng.uniform(0, 0.8)
+        weights = [rng.random() ** 4 for _ in range(q)]
+        rows = [
+            1 << rng.choices(range(q), weights)[0]
+            | sum(1 << j for j in range(q) if rng.random() < density)
+            for _ in range(p)
+        ]
+        m = sum(row << (q * i) for i, row in enumerate(rows))
+        if _no_isolated_vertex(m, p, q):
+            masks.append(m)
+    ms = np.array(masks, dtype=np.uint64)
+    values = [binding_number_flow(_graph_of_biadj(m, p, q)).value for m in masks]
+    seen = set()
+    for r in rs:
+        want = [v < Fraction(1, r) for v in values]
+        assert _member(ms, p, q, r).tolist() == want, r
+        assert _member(ms[:1], p, q, r).tolist() == want[:1], r
+        seen.update(want)
+    assert seen == {False, True}
+
+
+def test_member_kernel_needs_the_y_side():
+    # x0 alone meets y0, y1, y2; x1, x2 meet only y3 and x3, x4 only y4.
+    # T = {y0, y1, y2} has 2 * |N(T)| < |T|, and no set of rows does. Within
+    # the scan limit p * q <= 28, only (5, 5, 2) has such Y-side-only members.
+    rows = [0b00111, 0b01000, 0b01000, 0b10000, 0b10000]
+    m = sum(row << (5 * i) for i, row in enumerate(rows))
+    assert binding_number_bruteforce(_graph_of_biadj(m, 5, 5)).value == Fraction(1, 3)
+    ms = np.array([m, _transpose_int(m, 5, 5)], dtype=np.uint64)
+    assert _member(ms, 5, 5, 2).tolist() == [True, True]
+    assert _member(ms, 5, 5, 3).tolist() == [False, False]
 
 
 def test_theorem6_enumeration():
