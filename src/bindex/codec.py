@@ -107,7 +107,7 @@ def graph6_decode(text: str) -> Graph:
             if row == col:
                 col += 1
                 row = 0
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)
 
 
 def edge_list_encode(g: Graph) -> str:

@@ -69,6 +69,20 @@ class Graph:
         self.adj = tuple(adj)
 
     @classmethod
+    def _trusted(cls, n: int, adj: Sequence[int]) -> "Graph":
+        """Skip the per-edge checks for adjacency that is valid by construction.
+
+        Callers guarantee len(adj) == n, symmetric rows, no loops and no
+        bits >= n; only the vertex-count cap is checked.
+        """
+        if not 1 <= n <= MAX_VERTICES:
+            raise DomainError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
@@ -78,7 +92,7 @@ class Graph:
                 raise DomainError(f"edge ({u},{v}) outside 0..{n - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        return cls._trusted(n, adj)
 
     @property
     def mask_all(self) -> int:
@@ -203,7 +217,7 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise DomainError("complete graph needs n >= 1")
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)])
+    return Graph._trusted(n, [full ^ (1 << v) for v in range(n)])
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
@@ -212,7 +226,7 @@ def complete_bipartite(p: int, q: int) -> Graph:
     xmask = (1 << p) - 1
     ymask = ((1 << (p + q)) - 1) ^ xmask
     adj = [ymask] * p + [xmask] * q
-    return Graph(p + q, adj)
+    return Graph._trusted(p + q, adj)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -220,7 +234,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     if n > MAX_VERTICES:
         raise DomainError(f"union size {n} exceeds cap {MAX_VERTICES}")
     adj = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -231,7 +245,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     m1 = (1 << g1.n) - 1
     m2 = ((1 << n) - 1) ^ m1
     adj = [row | m2 for row in g1.adj] + [(row << g1.n) | m1 for row in g2.adj]
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)
 
 
 @dataclass(frozen=True)
@@ -299,4 +313,4 @@ def double_nested(spec: BipartitionSpec) -> Graph:
             low = yrest & -yrest
             adj[low.bit_length() - 1] |= xmask
             yrest ^= low
-    return Graph(spec.n, adj)
+    return Graph._trusted(spec.n, adj)

@@ -1,10 +1,19 @@
 """Integer polynomials with certified real root isolation.
 
 Coefficients are stored ascending (coeffs[i] multiplies x^i) and printed
-descending. Root work runs on the square-free part through Sturm chains
-kept as primitive integer polynomials (each remainder is rescaled by a
-positive rational, which preserves signs). All queries are exact; floats
-appear only in the convenience accessors of RootInterval.
+descending. Everything below runs on plain ints:
+
+- gcds, square-free parts and Sturm chains come from a primitive
+  pseudo-remainder sequence; each remainder is taken up to a positive
+  integer factor and divided by its content, so signs, and with them the
+  Sturm counts, are those of the exact rational remainders;
+- bisection keeps its bracket as integers a/2^e, b/2^e over one shared
+  power of two and reads signs from integer Horner evaluation. Sturm
+  counts steer it until one root is left; after that the sign of the
+  square-free part at the midpoint against its sign at lo decides.
+
+Fractions appear only in the returned RootInterval, floats only in its
+convenience accessors.
 
 largest_real_root searches [0, B] with B a Cauchy bound, which covers
 every Perron root of a nonnegative matrix; polynomials whose real roots
@@ -22,7 +31,7 @@ from .graph import DomainError
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-_WIDTH = Fraction(1, 1 << 40)
+_WIDTH_BITS = 40  # brackets end narrower than 2^-40
 
 
 class IntPolynomial:
@@ -53,17 +62,9 @@ class IntPolynomial:
             out = out * x + c
         return out
 
-    def sign_at(self, x: Fraction) -> int:
-        """Sign of p(a/b) via the integer b^deg * p(a/b), Horner style."""
-        if not self.coeffs:
-            return 0
-        a, b = x.numerator, x.denominator
-        out = 0
-        bpow = 1
-        for c in reversed(self.coeffs):
-            out = out * a + c * bpow
-            bpow *= b
-        return (out > 0) - (out < 0)
+    def sign_at(self, x: Union[int, Fraction]) -> int:
+        """Exact sign of p(x) for an int or Fraction x."""
+        return _sign_at(self.coeffs, x.numerator, x.denominator)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -102,12 +103,7 @@ class IntPolynomial:
 
     def primitive(self) -> "IntPolynomial":
         """Divide by the content, keeping the sign of every coefficient."""
-        if not self.coeffs:
-            return self
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, abs(c))
-        return IntPolynomial([c // g for c in self.coeffs])
+        return IntPolynomial(_primitive(list(self.coeffs)))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -132,45 +128,69 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-def _frac_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
+def _sign_at(coeffs: Sequence[int], a: int, b: int) -> int:
+    """Sign of p(a/b), b > 0, via the integer b^deg * p(a/b), Horner style."""
+    out = 0
+    bpow = 1
+    for c in reversed(coeffs):
+        out = out * a + c * bpow
+        bpow *= b
+    return (out > 0) - (out < 0)
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by its content (a positive gcd), signs kept."""
+    g = int_gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of a by b times a positive integer, so every sign is kept.
+
+    Each elimination step scales the running remainder by |lc(b)| / g
+    instead of lc(b) (g the gcd of the two leading coefficients), which
+    keeps the multiplier positive and the numbers small.
+    """
     rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        f = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quo[shift] = f
+    lb, db = b[-1], len(b)
+    while len(rem) >= db:
+        lr = rem[-1]
+        g = int_gcd(lr, lb)
+        mr, mb = lr // g, lb // g
+        if mb < 0:
+            mr, mb = -mr, -mb
+        shift = len(rem) - db
+        if mb != 1:
+            rem = [c * mb for c in rem]
         for i, c in enumerate(b):
-            rem[shift + i] -= f * c
+            rem[shift + i] -= mr * c
         while rem and rem[-1] == 0:
             rem.pop()
-        if not rem:
-            break
-    return quo, rem
+    return rem
 
 
-def _to_frac(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _from_frac(cs: Sequence[Fraction]) -> IntPolynomial:
-    """Scale by the positive lcm of denominators, then primitivize."""
-    if not cs:
-        return IntPolynomial([])
-    mult = 1
-    for c in cs:
-        mult = mult * c.denominator // int_gcd(mult, c.denominator)
-    return IntPolynomial([int(c * mult) for c in cs]).primitive()
+def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b over the integers; b must divide a with an integer quotient."""
+    rem = list(a)
+    lb, db = b[-1], len(b)
+    quo = [0] * (len(a) - db + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        f, r = divmod(rem[shift + db - 1], lb)
+        assert r == 0
+        quo[shift] = f
+        if f:
+            for i, c in enumerate(b):
+                rem[shift + i] -= f * c
+    assert not any(rem)
+    return quo
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Primitive gcd with positive leading coefficient."""
-    fa, fb = _to_frac(a), _to_frac(b)
+    fa, fb = list(a.coeffs), list(b.coeffs)
     while fb:
-        _, fr = _frac_divmod(fa, fb)
-        fa, fb = fb, fr
-    out = _from_frac(fa)
+        fa, fb = fb, _primitive(_prem(fa, fb))
+    out = IntPolynomial(fa).primitive()
     if out and out.lead < 0:
         out = -out
     return out
@@ -183,9 +203,8 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     if g.degree < 1:
         out = p.primitive()
     else:
-        quo, rem = _frac_divmod(_to_frac(p), _to_frac(g))
-        assert not rem
-        out = _from_frac(quo)
+        # g is primitive, so by Gauss's lemma p / g has integer coefficients
+        out = IntPolynomial(_exact_quo(p.coeffs, g.coeffs)).primitive()
     if out.lead < 0:
         out = -out
     return out
@@ -195,21 +214,27 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     """Sturm chain of a square-free p, entries primitive."""
     chain = [p, p.derivative().primitive()]
     while chain[-1].degree >= 1:
-        _, rem = _frac_divmod(_to_frac(chain[-2]), _to_frac(chain[-1]))
+        rem = _prem(chain[-2].coeffs, chain[-1].coeffs)
         if not rem:
             break
-        chain.append(-_from_frac(rem))
+        chain.append(IntPolynomial([-c for c in _primitive(rem)]))
     return [q for q in chain if q]
 
 
-def _variations(chain: Sequence[IntPolynomial], x: Fraction) -> int:
-    signs = [s for s in (q.sign_at(x) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
+    """Sign changes along the chain (coefficient tuples) at a/b."""
+    signs = [s for s in (_sign_at(cs, a, b) for cs in chain) if s != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def count_roots(chain: Sequence[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
+def count_roots(
+    chain: Sequence[IntPolynomial], lo: Union[int, Fraction], hi: Union[int, Fraction]
+) -> int:
     """Distinct real roots in (lo, hi]; endpoints must not be roots of chain[0]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    cs = [q.coeffs for q in chain]
+    return _variations(cs, lo.numerator, lo.denominator) - _variations(
+        cs, hi.numerator, hi.denominator
+    )
 
 
 @dataclass(frozen=True)
@@ -257,16 +282,22 @@ class RootInterval:
         return count_roots(chain, self.lo, self.hi) == 1
 
 
-def _cauchy_bound(p: IntPolynomial) -> Fraction:
+def _cauchy_bound(p: IntPolynomial) -> int:
     lead = abs(p.lead)
     top = max(abs(c) for c in p.coeffs)
-    return Fraction(1 + (top + lead - 1) // lead)
+    return 1 + (top + lead - 1) // lead
 
 
 class _Isolator:
-    """Bisection state for the largest nonnegative real root of one poly."""
+    """Bisection state for the largest nonnegative real root of one poly.
 
-    __slots__ = ("orig", "sf", "chain", "lo", "hi", "vlo", "vhi", "exact")
+    The endpoints are integers over one positive denominator: the bracket
+    is (lo/den, hi/den]. While bisecting, den is a power of two and each
+    step doubles it; an exact root may have any denominator. slo is the
+    sign of sf at lo/den, which is never a root of sf.
+    """
+
+    __slots__ = ("orig", "sf", "chain", "lo", "hi", "den", "vlo", "vhi", "slo", "exact")
 
     def __init__(self, p: IntPolynomial) -> None:
         if p.degree < 1:
@@ -281,80 +312,95 @@ class _Isolator:
         if sf.degree < 1:
             if not root_at_zero:
                 raise DomainError("no real root in the nonnegative range")
-            self._set_exact(Fraction(0))
+            self._set_exact(0, 1)
             return
         if sf.degree == 1:
             # bisection midpoints are dyadic and may never land on a
-            # rational root, so solve the linear factor outright
-            root = Fraction(-sf.coeffs[0], sf.coeffs[1])
-            if root > 0 or (root == 0 and not root_at_zero):
-                self._set_exact(root)
+            # rational root, so solve the linear factor outright; sf has a
+            # positive leading coefficient and, with 0 factored out, c0 != 0
+            c0, c1 = sf.coeffs
+            if c0 < 0:
+                self._set_exact(-c0, c1)
                 return
             if root_at_zero:
-                self._set_exact(Fraction(0))
+                self._set_exact(0, 1)
                 return
             raise DomainError("no real root in the nonnegative range")
-        chain = sturm_chain(sf)
+        chain = [q.coeffs for q in sturm_chain(sf)]
         bound = _cauchy_bound(sf)
-        vlo = _variations(chain, Fraction(0))
-        vhi = _variations(chain, bound)
+        vlo = _variations(chain, 0, 1)
+        vhi = _variations(chain, bound, 1)
         if vlo - vhi == 0:
             if root_at_zero:
-                self._set_exact(Fraction(0))
+                self._set_exact(0, 1)
                 return
             raise DomainError("no real root in the nonnegative range")
-        self.sf = sf
+        self.sf = sf.coeffs
         self.chain = chain
-        self.lo = Fraction(0)
-        self.hi = bound
+        self.lo, self.hi, self.den = 0, bound, 1
         self.vlo = vlo
         self.vhi = vhi
+        self.slo = _sign_at(self.sf, 0, 1)
 
-    def _set_exact(self, x: Fraction) -> None:
+    def _set_exact(self, num: int, den: int) -> None:
         self.exact = True
-        self.lo = self.hi = x
+        self.lo = self.hi = num
+        self.den = den
 
     def count(self) -> int:
         return self.vlo - self.vhi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def step(self) -> None:
         """One bisection step keeping the largest root in (lo, hi]."""
         if self.exact:
             return
-        mid = (self.lo + self.hi) / 2
-        smid = self.sf.sign_at(mid)
+        m = self.lo + self.hi
+        den = self.den << 1
+        smid = _sign_at(self.sf, m, den)
         if smid == 0:
-            # mid is a simple root; is anything above it?
-            quo, rem = _frac_divmod(_to_frac(self.sf), [-mid, Fraction(1)])
-            assert not rem
-            reduced = _from_frac(quo)
+            # m/den is a simple root; is anything above it?
+            g = int_gcd(m, den)
+            reduced = IntPolynomial(_exact_quo(self.sf, (-(m // g), den // g))).primitive()
             if reduced.degree >= 1:
-                chain = sturm_chain(reduced)
-                above = _variations(chain, mid) - _variations(chain, self.hi)
-                if above > 0:
-                    self.sf = reduced
+                chain = [q.coeffs for q in sturm_chain(reduced)]
+                vmid = _variations(chain, m, den)
+                vhi = _variations(chain, self.hi << 1, den)
+                if vmid - vhi > 0:
+                    self.sf = reduced.coeffs
                     self.chain = chain
-                    self.lo = mid
-                    self.vlo = _variations(chain, mid)
-                    self.vhi = _variations(chain, self.hi)
+                    self.lo, self.hi, self.den = m, self.hi << 1, den
+                    self.vlo, self.vhi = vmid, vhi
+                    self.slo = _sign_at(reduced.coeffs, m, den)
                     return
-            self._set_exact(mid)
+            self._set_exact(m, den)
             return
-        vmid = _variations(self.chain, mid)
-        if vmid - self.vhi > 0:
-            self.lo, self.vlo = mid, vmid
+        if self.vlo - self.vhi == 1:
+            # one simple root left in (lo, hi): sf changes sign across it
+            upper = smid == self.slo
         else:
-            self.hi, self.vhi = mid, vmid
+            vmid = _variations(self.chain, m, den)
+            upper = vmid - self.vhi > 0
+            if upper:
+                self.vlo = vmid
+            else:
+                self.vhi = vmid
+        if upper:
+            self.lo, self.hi, self.slo = m, self.hi << 1, smid
+        else:
+            self.lo, self.hi = self.lo << 1, m
+        self.den = den
 
-    def refine(self, width: Fraction) -> None:
-        while not self.exact and (self.width() >= width or self.count() != 1):
+    def refine(self) -> None:
+        """Bisect until one root is left and the bracket is below 2^-40."""
+        while not self.exact and (
+            (self.hi - self.lo) << _WIDTH_BITS >= self.den or self.count() != 1
+        ):
             self.step()
 
     def interval(self) -> RootInterval:
-        return RootInterval(poly=self.orig, lo=self.lo, hi=self.hi)
+        return RootInterval(
+            poly=self.orig, lo=Fraction(self.lo, self.den), hi=Fraction(self.hi, self.den)
+        )
 
 
 def largest_real_root(p: IntPolynomial) -> RootInterval:
@@ -363,7 +409,7 @@ def largest_real_root(p: IntPolynomial) -> RootInterval:
     Perron roots of nonnegative matrices always land in that range.
     """
     iso = _Isolator(p)
-    iso.refine(_WIDTH)
+    iso.refine()
     return iso.interval()
 
 
@@ -375,31 +421,32 @@ def compare_largest_roots(pa: IntPolynomial, pb: IntPolynomial) -> int:
     consults floating point.
     """
     ia, ib = _Isolator(pa), _Isolator(pb)
-    ia.refine(_WIDTH)
-    ib.refine(_WIDTH)
+    ia.refine()
+    ib.refine()
     g = poly_gcd(squarefree_part(pa), squarefree_part(pb))
-    gchain = sturm_chain(g) if g.degree >= 1 else None
+    gchain = [q.coeffs for q in sturm_chain(g)] if g.degree >= 1 else None
     while True:
+        # both brackets over the common denominator ia.den * ib.den
+        alo, ahi = ia.lo * ib.den, ia.hi * ib.den
+        blo, bhi = ib.lo * ia.den, ib.hi * ia.den
         if ia.exact and ib.exact:
-            a, b = ia.lo, ib.lo
-            return LESS if a < b else GREATER if a > b else EQUAL
-        if ia.hi <= ib.lo:
+            return LESS if alo < blo else GREATER if alo > blo else EQUAL
+        if ahi <= blo:
             return LESS
-        if ib.hi <= ia.lo:
+        if bhi <= alo:
             return GREATER
         if ia.exact:
-            x = ia.lo
-            if ib.lo < x <= ib.hi and ib.sf.sign_at(x) == 0:
+            if blo < alo <= bhi and _sign_at(ib.sf, ia.lo, ia.den) == 0:
                 return EQUAL
         elif ib.exact:
-            x = ib.lo
-            if ia.lo < x <= ia.hi and ia.sf.sign_at(x) == 0:
+            if alo < blo <= ahi and _sign_at(ia.sf, ib.lo, ib.den) == 0:
                 return EQUAL
         elif gchain is not None:
-            olo = max(ia.lo, ib.lo)
-            ohi = min(ia.hi, ib.hi)
-            if olo < ohi and g.sign_at(olo) != 0 and g.sign_at(ohi) != 0:
-                if count_roots(gchain, olo, ohi) >= 1:
+            olo = max(alo, blo)
+            ohi = min(ahi, bhi)
+            den = ia.den * ib.den
+            if olo < ohi and _sign_at(g.coeffs, olo, den) != 0 and _sign_at(g.coeffs, ohi, den) != 0:
+                if _variations(gchain, olo, den) - _variations(gchain, ohi, den) >= 1:
                     return EQUAL
         for _ in range(4):
             ia.step()

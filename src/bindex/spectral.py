@@ -1,9 +1,11 @@
 """Spectral radius: floating power iteration plus exact certification.
 
 Certification path: equitable quotient matrix -> integer characteristic
-polynomial -> Sturm-certified root interval. A connected graph shares its
-spectral radius with any equitable quotient, so certified comparisons of
-radii reduce to compare_largest_roots on integer polynomials.
+polynomial by Faddeev-LeVerrier, whose divisions are exact ->
+Sturm-certified root interval by integer bisection (see polynomials). A
+connected graph shares its spectral radius with any equitable quotient,
+so certified comparisons of radii reduce to compare_largest_roots on
+integer polynomials.
 
 family_polynomial returns the named auxiliary polynomials (f1..f5,
 g1..g8, h1..h3) used by the regime and scan machinery; f1 is stored
@@ -14,6 +16,7 @@ uses are sign tests. Families h2/h3 substitute beta = floor((n-r-1)/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -133,39 +136,29 @@ def quotient_matrix(g: Graph, partition: Sequence[int]) -> QuotientMatrix:
 
 
 def charpoly(m: Union[QuotientMatrix, Sequence[Sequence[int]]]) -> IntPolynomial:
-    """det(xI - M) by Laplace expansion over column subsets; k <= 8."""
+    """det(xI - M) by Faddeev-LeVerrier on integer lists; k <= 8.
+
+    With M_1 = I and M_{i+1} = A M_i + c_{k-i} I, the coefficient of
+    x^(k-i) is c_{k-i} = -tr(A M_i) / i, and that division is exact.
+    """
     entries = m.entries if isinstance(m, QuotientMatrix) else tuple(
         tuple(int(c) for c in row) for row in m
     )
     k = len(entries)
     if k > 8 or any(len(row) != k for row in entries):
         raise DomainError("charpoly needs a square matrix with k <= 8")
-    one = IntPolynomial([1])
-    xm = [
-        [
-            IntPolynomial([-entries[i][j], 1]) if i == j else IntPolynomial([-entries[i][j]])
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    dets = {0: one}
-    for s in range(1, 1 << k):
-        row = s.bit_count() - 1
-        acc = IntPolynomial([])
-        pos = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            term = xm[row][j] * dets[s ^ low]
-            if (row + pos) % 2 == 0:
-                acc = acc + term
-            else:
-                acc = acc - term
-            pos += 1
-        dets[s] = acc
-    return dets[(1 << k) - 1]
+    coeffs = [0] * k + [1]
+    am = [list(row) for row in entries]  # A M_1
+    for i in range(1, k + 1):
+        c = -sum([am[j][j] for j in range(k)]) // i
+        coeffs[k - i] = c
+        if i == k:
+            break
+        for j in range(k):
+            am[j][j] += c
+        cols = list(zip(*am))
+        am = [[sum(map(mul, row, col)) for col in cols] for row in entries]
+    return IntPolynomial(coeffs)
 
 
 def _beta(n: int, r: int) -> int:

@@ -4,6 +4,13 @@ import random
 
 import pytest
 
+from bindex.codec import graph6_decode, graph6_encode
+from bindex.constructions import (
+    bipartite_extremal_D,
+    bipartite_extremal_K,
+    family_general,
+    general_extremal,
+)
 from bindex.graph import (
     BipartitionSpec,
     DomainError,
@@ -192,3 +199,72 @@ def test_graph_equality_and_hash():
     assert cycle(4) == cycle(4)
     assert cycle(4) != path(4)
     assert len({cycle(4), cycle(4), path(4)}) == 2
+
+
+def _revalidates(g):
+    """The public, fully checked constructor accepts g's adjacency as is."""
+    return Graph(g.n, list(g.adj)) == g
+
+
+def _construction_grid():
+    for r in range(1, 4):
+        for n in range(r + 3, 21):
+            yield bipartite_extremal_K(n, r).graph
+            if n >= r + 4:
+                yield general_extremal(n, r).graph
+            for t1 in range(2, (n - 3) // (r + 1) + 1):
+                yield family_general(n, r, t1).graph
+            if n >= r + 5:
+                yield bipartite_extremal_D(n, r, "ceil").graph
+                yield bipartite_extremal_D(n, r, "floor").graph
+
+
+def test_builders_pass_public_validation():
+    # the builders skip the per-edge checks; their output must not need them
+    grid = list(_construction_grid())
+    assert len(grid) > 250
+    for g in grid:
+        assert _revalidates(g)
+    for n in range(1, 21):
+        assert _revalidates(complete(n))
+        for q in range(1, 21 - n):
+            assert _revalidates(complete_bipartite(n, q))
+    rng = random.Random(2029)
+    for _ in range(200):
+        h = rng.randint(1, 4)
+        spec = BipartitionSpec(
+            tuple(rng.randint(1, 4) for _ in range(h)),
+            tuple(rng.randint(1, 4) for _ in range(h)),
+        )
+        assert _revalidates(double_nested(spec))
+    for _ in range(100):
+        n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+        g1, g2 = Graph(n1, _random_adj(rng, n1)), Graph(n2, _random_adj(rng, n2))
+        assert _revalidates(join(g1, g2))
+        assert _revalidates(disjoint_union(g1, g2))
+        n = n1 + n2
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.2]
+        assert _revalidates(Graph.from_edges(n, edges))
+        assert _revalidates(graph6_decode(graph6_encode(g1)))
+
+
+def test_public_constructor_rejects_corrupted_builder_output():
+    for g in (complete(6), complete_bipartite(3, 4), double_nested(BipartitionSpec((2, 3), (1, 2)))):
+        adj = list(g.adj)
+        u, v = next(g.edges())
+        one_way = list(adj)
+        one_way[u] &= ~(1 << v)
+        with pytest.raises(DomainError, match="asymmetric"):
+            Graph(g.n, one_way)
+        looped = list(adj)
+        looped[u] |= 1 << u
+        with pytest.raises(DomainError, match="self-loop"):
+            Graph(g.n, looped)
+        wide = list(adj)
+        wide[u] |= 1 << g.n
+        with pytest.raises(DomainError, match="bits >= n"):
+            Graph(g.n, wide)
+    with pytest.raises(DomainError):
+        Graph._trusted(0, [])
+    with pytest.raises(DomainError):
+        Graph._trusted(4097, [0] * 4097)

@@ -1,11 +1,15 @@
 """Integer polynomials, Sturm chains, certified largest real roots."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bindex.graph import DomainError
 from bindex.polynomials import (
+    EQUAL,
+    GREATER,
+    LESS,
     IntPolynomial,
     RootInterval,
     compare_largest_roots,
@@ -15,6 +19,7 @@ from bindex.polynomials import (
     squarefree_part,
     sturm_chain,
 )
+from bindex.spectral import family_parameters, family_polynomial
 
 x = IntPolynomial([0, 1])
 
@@ -143,3 +148,198 @@ def test_root_interval_verify_rejects_lies():
     # an interval holding both roots of (x-1)(x-3) is not a certificate
     q = IntPolynomial([3, -4, 1])
     assert not RootInterval(q, Fraction(0), Fraction(4)).verify()
+
+
+# (coefficients, lo, hi) of largest_real_root, frozen from the Fraction
+# bisection that preceded the integer one. Rows 8-15 have repeated roots,
+# a root at 0 or a linear square-free part; rows 16-25 put a rational root
+# on a bisection midpoint; rows 26-35 are printed families; the rest are
+# seeded products.
+ROOTS = [
+    ((-12, 0, 1), '60941120090253/17592186044416', '30470560045133/8796093022208'),
+    ((-13, 0, 1), '3964345551915/1099511627776', '31714764415327/8796093022208'),
+    ((-2, 0, 1), '6219777023949/4398046511104', '388736063997/274877906944'),
+    ((20, -13, -10, 1), '12111497645247/1099511627776', '387567924647925/35184372088832'),
+    ((-5, 1), '5', '5'),
+    ((-5, 2), '5/2', '5/2'),
+    ((0, 0, 0, 1), '0', '0'),
+    ((0, -1, 1), '1', '1'),
+    ((2, -3, 0, 1), '4398046511103/4398046511104', '2199023255553/2199023255552'),
+    ((-18, 12, 7, -6, 1), '13194139533309/4398046511104', '26388279066625/8796093022208'),
+    ((0, 25, 0, -10, 0, 1), '1229291370879/549755813888', '9834330967035/4398046511104'),
+    ((-8, 12, -6, 1), '2', '2'),
+    ((1, -6, 9), '1/3', '1/3'),
+    ((0, 0, 25, -20, 4), '5/2', '5/2'),
+    ((0, 1, 1), '0', '0'),
+    ((0, 0, 1, 0, 1), '0', '0'),
+    ((3, -3, -1, 1), '3808820005641/2199023255552', '1904410002821/1099511627776'),
+    ((-1, 1, -1, 1), '1', '1'),
+    ((7, -8, 1), '123145302310911/17592186044416', '15393162788865/2199023255552'),
+    ((-3, 7, -5, 1), '6597069766655/2199023255552', '26388279066625/8796093022208'),
+    ((1, -7, 12), '366503875925/1099511627776', '733007751851/2199023255552'),
+    ((-2, 1, -2, 1), '4398046511103/2199023255552', '8796093022209/4398046511104'),
+    ((21, -10, 1), '61572651155455/8796093022208', '123145302310921/17592186044416'),
+    ((9, -6, -3, 2), '3808820005641/2199023255552', '7617640011285/4398046511104'),
+    ((6, -8, -3, 4), '6219777023949/4398046511104', '388736063997/274877906944'),
+    ((6, -8, 0, -3, 4), '5541191377755/4398046511104', '2770595688879/2199023255552'),
+    ((26, 23, -3), '76232806192465/8796093022208', '38116403096235/4398046511104'),
+    ((-48, -5, 1), '694220026102603/70368744177664', '173555006525663/17592186044416'),
+    ((140, -26, -11, 1), '3431385356180913/281474976710656', '1715692678090527/140737488355328'),
+    ((9, 0, -7, 0, 1), '2531928589845/1099511627776', '20255428718765/8796093022208'),
+    ((108, 0, -30, 0, 1), '89386057990119/17592186044416', '715088463921061/140737488355328'),
+    ((40, 0, -22, 0, 1), '39337323868133/8796093022208', '314698590945105/70368744177664'),
+    ((396, 0, -114, 0, 1), '2957677678793551/281474976710656', '5915355357587499/562949953421312'),
+    ((-320, 0, 72), '4635948076815/2199023255552', '9271896153633/4398046511104'),
+    ((27, 0, -15, 0, 1), '31602743874177/8796093022208', '3950342984273/1099511627776'),
+    ((24, 4, -16, 4), '13194139533309/4398046511104', '26388279066625/8796093022208'),
+    ((1080, 1296, 378, 216, -3, -63, -3, 3), '303755465583457/70368744177664', '2430043724668089/562949953421312'),
+    ((72, -216, 21, -63, -1, 3), '689470068302819/140737488355328', '172367517075723/35184372088832'),
+    ((-150, 515, -160, -122, 64, -45, 18), '17592186044415/8796093022208', '35184372088845/17592186044416'),
+    ((160, 0, -56, 0, 4), '222525507687123/70368744177664', '55631376921791/17592186044416'),
+    ((-4, 3), '4/3', '4/3'),
+    ((735, -693, -525, 456, 123, -93, -9, 6), '24552427558169/8796093022208', '98209710232707/35184372088832'),
+    ((-9, 2, 3), '786426172277/549755813888', '3145704689109/2199023255552'),
+    ((-2, -6, 3, 9), '897747484769/1099511627776', '1795494969539/2199023255552'),
+    ((-12, -12, 1, 1), '60941120090253/17592186044416', '30470560045133/8796093022208'),
+    ((-3, 0, 1), '3808820005641/2199023255552', '1904410002821/1099511627776'),
+]
+
+# (row, row, compare_largest_roots), frozen the same way
+COMPARISONS = [
+    (0, 1, -1),
+    (0, 0, 0),
+    (3, 27, 1),
+    (26, 2, 1),
+    (9, 2, 1),
+    (16, 17, 1),
+    (12, 13, -1),
+    (13, 5, 0),
+    (5, 13, 0),
+    (32, 33, 1),
+    (32, 34, 1),
+    (20, 21, -1),
+    (11, 4, -1),
+    (14, 15, 0),
+    (19, 9, 0),
+    (0, 44, 0),
+    (44, 0, 0),
+    (16, 45, 0),
+    (45, 16, 0),
+    (2, 23, -1),
+    (5, 18, -1),
+    (43, 20, 1),
+    (1, 20, 1),
+    (18, 20, 1),
+    (9, 41, 1),
+    (26, 39, 1),
+    (43, 4, -1),
+    (18, 39, 1),
+    (12, 28, -1),
+    (18, 8, 1),
+    (16, 24, 1),
+    (38, 10, -1),
+    (21, 36, -1),
+    (0, 23, 1),
+    (2, 29, -1),
+    (10, 23, 1),
+    (23, 18, -1),
+    (36, 6, 1),
+    (28, 13, 1),
+    (27, 13, 1),
+    (7, 3, -1),
+    (3, 3, 0),
+    (10, 38, 1),
+    (43, 9, -1),
+]
+
+
+def test_largest_root_brackets_are_frozen():
+    for coeffs, lo, hi in ROOTS:
+        iv = largest_real_root(IntPolynomial(coeffs))
+        assert (str(iv.lo), str(iv.hi)) == (lo, hi), coeffs
+        assert iv.verify()
+
+
+def test_comparisons_are_frozen():
+    for i, j, want in COMPARISONS:
+        pa, pb = IntPolynomial(ROOTS[i][0]), IntPolynomial(ROOTS[j][0])
+        assert compare_largest_roots(pa, pb) == want, (i, j)
+
+
+def test_integer_prs_keeps_signs():
+    # remainders are taken up to a positive factor only, so the chain keeps
+    # the signs a Fraction remainder sequence gives, also when a divisor has
+    # a negative leading coefficient (here -4x^3 - 3x)
+    p = IntPolynomial([5, 0, -3, 0, -2])
+    chain = sturm_chain(p)
+    assert [q.coeffs for q in chain] == [(5, 0, -3, 0, -2), (0, -3, 0, -4), (-10, 0, 3), (0, 1), (1,)]
+    assert count_roots(chain, Fraction(-2), Fraction(2)) == 2
+    q = IntPolynomial([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
+    assert [c.coeffs for c in sturm_chain(q)] == [(-6, 11, -6, 1), (11, -12, 3), (-2, 1), (1,)]
+    assert poly_gcd(-q, IntPolynomial([2, -3, 1])).coeffs == (2, -3, 1)
+    assert squarefree_part(-(q * q)).coeffs == (-6, 11, -6, 1)
+
+
+def _seeded_polynomials(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = IntPolynomial([rng.choice((1, -1, 2, 3))])
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.35:
+                p = p * IntPolynomial([-rng.randint(-4, 12), rng.choice((1, 2, 3, 4, 8))])
+            elif kind < 0.7:
+                p = p * IntPolynomial([-rng.randint(-5, 40), rng.randint(-3, 3), rng.randint(1, 4)])
+            elif kind < 0.85:
+                p = p * IntPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(2, 5))] + [1])
+            else:
+                p = p * IntPolynomial([0, 1])
+        out.append(p)
+    return out
+
+
+def _family_instances():
+    """Every printed family over a small grid of its parameters."""
+    values = {"n": (7, 12, 19, 25), "r": (1, 2, 4), "alpha": (1, 3, 5), "t1": (1, 3),
+              "p": (3, 6, 10), "q": (2, 5), "t": (1, 2)}
+    for name in ("f1", "f2", "f3", "f4", "f5", "g1", "g2", "g3", "g4", "g5", "g6", "g7",
+                 "g8", "h1", "h2", "h3"):
+        params = family_parameters(name)
+        grid = [{}]
+        for key in params:
+            grid = [dict(kw, **{key: v}) for kw in grid for v in values[key]]
+        for kw in grid:
+            yield name, family_polynomial(name, **kw)
+
+
+def _check_against_sympy(sympy, p):
+    """sympy's largest real root lies in the bracket, or there is none >= 0."""
+    x = sympy.Symbol("x")
+    roots = sympy.Poly(list(reversed(p.coeffs)) or [0], x).real_roots() if p.degree >= 1 else []
+    try:
+        iv = largest_real_root(p)
+    except DomainError:
+        assert not roots or roots[-1] < 0, p
+        return False
+    top = roots[-1]
+    if iv.exact:
+        assert top == sympy.Rational(iv.lo.numerator, iv.lo.denominator), p
+    else:
+        assert sympy.Rational(iv.lo.numerator, iv.lo.denominator) < top, p
+        assert top <= sympy.Rational(iv.hi.numerator, iv.hi.denominator), p
+    return True
+
+
+def test_largest_root_matches_sympy_on_seeded_polynomials():
+    sympy = pytest.importorskip("sympy")
+    checked = sum(_check_against_sympy(sympy, p) for p in _seeded_polynomials(2039, 120))
+    assert checked >= 60
+
+
+def test_largest_root_matches_sympy_on_printed_families():
+    sympy = pytest.importorskip("sympy")
+    seen = {}
+    for name, p in _family_instances():
+        seen[name] = seen.get(name, 0) + _check_against_sympy(sympy, p)
+    assert len(seen) == 16 and all(seen.values())

@@ -124,6 +124,50 @@ def test_charpoly():
         charpoly([[0] * 9] * 9)
 
 
+def _charpoly_laplace(entries):
+    """Oracle: det(xI - M) by Laplace expansion over column subsets."""
+    k = len(entries)
+    xm = [
+        [IntPolynomial([-entries[i][j], 1] if i == j else [-entries[i][j]]) for j in range(k)]
+        for i in range(k)
+    ]
+    dets = {0: IntPolynomial([1])}
+    for s in range(1, 1 << k):
+        # expand the minor on rows 0..|s|-1 and columns s along its last row
+        row = s.bit_count() - 1
+        acc = IntPolynomial([])
+        for pos, j in enumerate(j for j in range(k) if (s >> j) & 1):
+            term = xm[row][j] * dets[s ^ (1 << j)]
+            acc = acc + term if (row + pos) % 2 == 0 else acc - term
+        dets[s] = acc
+    return dets[(1 << k) - 1]
+
+
+def _seeded_matrices(seed, per_k):
+    rng = random.Random(seed)
+    for k in range(1, 9):
+        for _ in range(per_k):
+            hi = rng.choice((1, 3, 12))
+            yield [[rng.randint(-hi, hi) for _ in range(k)] for _ in range(k)]
+
+
+def test_charpoly_matches_laplace_oracle():
+    for m in _seeded_matrices(2027, 25):
+        assert charpoly(m) == _charpoly_laplace(m), m
+    for n, r in [(12, 1), (16, 2), (21, 4)]:
+        for c in (general_extremal(n, r), bipartite_extremal_D(n, r), family_general(n, r, 2)):
+            qm = quotient_matrix(c.graph, c.blocks)
+            assert charpoly(qm) == _charpoly_laplace(qm.entries)
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("x")
+    for m in _seeded_matrices(2031, 4):
+        want = sympy.Matrix(m).charpoly(lam).all_coeffs()
+        assert charpoly(m).coeffs == tuple(int(c) for c in reversed(want)), m
+
+
 def test_quotient_matrix_size_cap():
     with pytest.raises(DomainError):
         QuotientMatrix(tuple(tuple(0 for _ in range(9)) for _ in range(9)))

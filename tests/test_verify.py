@@ -83,6 +83,9 @@ def test_bipartite_max_deterministic_and_parallel():
     assert a.comparable() == c.comparable()
     d = enumerate_bipartite_max(4, 4, 1, threads=2)
     assert d.comparable() == enumerate_bipartite_max(4, 4, 1).comparable()
+    # 2^24 masks make four 2^22-mask shards, so threads=2 runs the pool
+    serial = enumerate_bipartite_max(6, 4, 2)
+    assert serial.comparable() == enumerate_bipartite_max(6, 4, 2, threads=2).comparable()
 
 
 def _no_isolated_vertex(m, p, q):
