@@ -5,21 +5,58 @@ is integer or Fraction; no floats anywhere in this module, because the
 regime dispatches downstream compare b against 1/r strictly.
 
 Vertex sets are int bitmasks as in graph.py.
+
+Brute force (n <= 24) scans one numpy subset table. N(S) is built as
+uint32 for every S over the low k = min(n, 16) vertices by doubling; the
+sets over the n - k high vertices split the table into at most 256 blocks
+of 2^16 entries, each the low table ORed with N(high). Each entry is
+ranked through a small integer table indexed by (|S|, |N(S)|): the key
+|N(S)| * (L // |S|) with L = lcm(1..24) = 5354228880 is L times the ratio,
+exact because |S| divides L, and at most 24 * L < 2^37; the rank, key << 5
+| |S|, stays below 2^42, so int64 holds it and ratios are compared without
+a float. Worst case, n = 24, on a 2-vCPU x86-64 box: 0.06-0.07 s per
+call (G(24, 0.3) and K_24), with about 1 MB of arrays live per block.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .graph import DomainError, Graph, LimitError, vertices_of
 from .maxflow import Dinic
 
 _BRUTE_MAX = 24
-_DP_MAX = 20
 _SETS_MAX = 20
 _TOUGH_MAX = 16
+
+_LOW_BITS = 16  # vertices per block of the subset table
+_L = math.lcm(*range(1, _BRUTE_MAX + 1))  # 5354228880
+_EXCLUDED = np.iinfo(np.int64).max
+# |S| << 5 for every S over the low vertices: its row in a rank table
+_LOW_ROW = np.bitwise_count(np.arange(1 << _LOW_BITS, dtype=np.uint32)).astype(np.uint16) << 5
+
+
+def _rank_table(n: int) -> np.ndarray:
+    """rank[|S| << 5 | |N(S)|] = (|N(S)| * (L // |S|)) << 5 | |S| on n vertices.
+
+    Ranks order sets by ratio, then by size; equal ranks mean an equal
+    ratio and an equal size. The empty S and N(S) = V rank _EXCLUDED.
+    """
+    s = np.arange(32, dtype=np.int64)[:, None]
+    c = np.arange(32, dtype=np.int64)[None, :]
+    rank = c * (_L // np.maximum(s, 1)) << 5 | s
+    rank[0, :] = _EXCLUDED
+    rank[:, n:] = _EXCLUDED
+    return rank.ravel()
+
+
+_RANK = [_rank_table(n) for n in range(_BRUTE_MAX + 1)]
 
 
 @dataclass(frozen=True)
@@ -74,57 +111,56 @@ def _isolated_result(g: Graph, method: str) -> Optional[BindingResult]:
     return BindingResult.checked(g, least, method)
 
 
+def _subset_ranks(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (high, rank) for each block of the subset table of g.
+
+    Block `high` holds the sets S = high | lo for every lo over the low
+    k = min(n, 16) vertices; rank[lo] is the _rank_table entry of S. N(S)
+    is built over the low vertices once by doubling, as uint32, and each
+    block ORs in N(high).
+    """
+    n, adj = g.n, g.adj
+    k = min(n, _LOW_BITS)
+    lo = np.zeros(1 << k, dtype=np.uint32)
+    for v in range(k):
+        np.bitwise_or(lo[: 1 << v], adj[v], out=lo[1 << v : 2 << v])
+    row = _LOW_ROW[: 1 << k]
+    high_nb = [0] * (1 << (n - k))
+    for m in range(1, 1 << (n - k)):
+        high_nb[m] = high_nb[m & (m - 1)] | adj[(m & -m).bit_length() - 1 + k]
+    rank = _RANK[n]
+    for m, hnb in enumerate(high_nb):
+        # |S| = |lo| + |m|: the table from row |m| on is indexed by |lo|
+        yield m << k, rank[m.bit_count() << 5 :].take(np.bitwise_count(lo | hnb) + row)
+
+
+def _lex_least(a: int, b: int) -> int:
+    return b if _lex_less(b, a) else a
+
+
 def binding_number_bruteforce(g: Graph) -> BindingResult:
-    """Exact b(G) by subset scan; n <= 24.
+    """Exact b(G) by a scan of the subset table; n <= 24.
 
     Witness is the minimizer of smallest cardinality, ties broken by
-    lexicographically least vertex tuple.
+    lexicographically least vertex tuple: the lex-least set of least rank
+    over the blocks of _subset_ranks. Worst case n = 24: 256 blocks of
+    2^16 entries, 0.06-0.07 s measured (module docstring).
     """
     if g.n > _BRUTE_MAX:
         raise LimitError(f"brute force capped at n <= {_BRUTE_MAX}")
     iso = _isolated_result(g, "brute")
     if iso is not None:
         return iso
-    n = g.n
-    full = g.mask_all
-    adj = g.adj
-    bn, bd, bm = n, 1, 0  # worse than any singleton (deg <= n-1)
-    if n <= _DP_MAX:
-        size = 1 << n
-        ns = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            ns[m] = ns[m & (m - 1)] | adj[low.bit_length() - 1]
-            nb = ns[m]
-            if nb != full:
-                num = nb.bit_count()
-                den = m.bit_count()
-                if _better(num, den, m, bn, bd, bm):
-                    bn, bd, bm = num, den, m
-    else:
-        k = 12
-        lowfull = (1 << k) - 1
-        na = [0] * (1 << k)
-        for m in range(1, 1 << k):
-            na[m] = na[m & (m - 1)] | adj[(m & -m).bit_length() - 1]
-        hbits = n - k
-        nbtab = [0] * (1 << hbits)
-        for m in range(1, 1 << hbits):
-            nbtab[m] = nbtab[m & (m - 1)] | adj[(m & -m).bit_length() - 1 + k]
-        for hi in range(1 << hbits):
-            base = nbtab[hi]
-            himask = hi << k
-            for lo in range(1 << k):
-                if hi == 0 and lo == 0:
-                    continue
-                nb = base | na[lo]
-                if nb != full:
-                    m = himask | lo
-                    num = nb.bit_count()
-                    den = m.bit_count()
-                    if _better(num, den, m, bn, bd, bm):
-                        bn, bd, bm = num, den, m
-    return BindingResult.checked(g, bm, "brute")
+    best_rank, best = _EXCLUDED, 0
+    for high, rank in _subset_ranks(g):
+        least = int(rank[rank.argmin()])
+        if least > best_rank:
+            continue
+        tied = [high | lo for lo in (rank == least).nonzero()[0].tolist()]
+        if least == best_rank:
+            tied.append(best)
+        best_rank, best = least, functools.reduce(_lex_least, tied)
+    return BindingResult.checked(g, best, "brute")
 
 
 def _sole_minimiser(g: Graph, sub: int, a: int, c: int) -> bool:
@@ -334,21 +370,22 @@ def binding_number_flow(g: Graph) -> BindingResult:
 
 
 def binding_sets_all(g: Graph) -> list[int]:
-    """All nonempty S with N(S) != V achieving b(G), lex order; n <= 20."""
+    """All nonempty S with N(S) != V achieving b(G), lex order; n <= 20.
+
+    The sets of least ratio in the subset table of binding_number_bruteforce.
+    """
     if g.n > _SETS_MAX:
         raise LimitError(f"binding set listing capped at n <= {_SETS_MAX}")
-    b = binding_number_bruteforce(g).value
-    bn, bd = b.numerator, b.denominator
-    full = g.mask_all
-    adj = g.adj
-    size = 1 << g.n
-    ns = [0] * size
-    out = []
-    for m in range(1, size):
-        ns[m] = ns[m & (m - 1)] | adj[(m & -m).bit_length() - 1]
-        nb = ns[m]
-        if nb != full and nb.bit_count() * bd == m.bit_count() * bn:
-            out.append(m)
+    best_key = _EXCLUDED
+    out: list[int] = []
+    for high, rank in _subset_ranks(g):
+        key = rank >> 5
+        least = int(key[key.argmin()])
+        if least > best_key:
+            continue
+        if least < best_key:
+            best_key, out = least, []
+        out.extend(((key == least).nonzero()[0] | high).tolist())
     out.sort(key=vertices_of)
     return out
 

@@ -15,6 +15,7 @@ uses are sign tests. Families h2/h3 substitute beta = floor((n-r-1)/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence, Union
@@ -67,9 +68,11 @@ def _component_radius(g: Graph, comp: int, tol: float) -> float:
     for _ in range(_POWER_CAP):
         y = a @ x + x
         lam = float(x @ y)
-        if float(np.linalg.norm(y - lam * x)) <= tol * lam:
+        d = y - lam * x
+        # the Euclidean norm as np.linalg.norm takes it for a 1-D float array
+        if math.sqrt(float(d @ d)) <= tol * lam:
             return lam - 1.0
-        x = y / float(np.linalg.norm(y))
+        x = y / math.sqrt(float(y @ y))
     raise ConvergenceError(lam - 1.0)
 
 

@@ -50,6 +50,78 @@ def _random_graph(rng, n, p):
     return Graph(n, adj)
 
 
+def _brute_oracle(g):
+    """(b(G), witness, binding sets) by the pure-Python subset loop.
+
+    The loop the numpy scan replaced: N(S) is the union of a table over
+    the low 12 vertices and one over the rest. Same rule: least ratio,
+    then least |S|, then lex-least vertex tuple (_better), over every
+    nonempty S with N(S) != V; the binding sets come in vertex-tuple order.
+    """
+    n, full, adj = g.n, g.mask_all, g.adj
+    k = min(n, 12)
+
+    def table(bits, shift):
+        ns = [0] * (1 << bits)
+        for m in range(1, 1 << bits):
+            ns[m] = ns[m & (m - 1)] | adj[(m & -m).bit_length() - 1 + shift]
+        return ns
+
+    low, high = table(k, 0), table(n - k, k)
+    bn, bd, bm = n, 1, 0  # worse than any singleton (deg <= n-1)
+    sets = []
+    for hi, hnb in enumerate(high):
+        for lo, lnb in enumerate(low):
+            m, nb = hi << k | lo, hnb | lnb
+            if m == 0 or nb == full:
+                continue
+            num, den = nb.bit_count(), m.bit_count()
+            if num * bd < bn * den:
+                sets = []
+            if num * bd <= bn * den:
+                sets.append(m)
+            if _better(num, den, m, bn, bd, bm):
+                bn, bd, bm = num, den, m
+    return Fraction(bn, bd), bm, sorted(sets, key=vertices_of)
+
+
+def _labeled_graphs(n):
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    for code in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for k, e in enumerate(pairs) if code >> k & 1])
+
+
+def test_scan_matches_oracle_on_all_graphs_to_n6():
+    for n in range(1, 7):
+        for g in _labeled_graphs(n):
+            r = binding_number_bruteforce(g)
+            b, witness, sets = _brute_oracle(g)
+            assert (r.value, r.witness) == (b, witness), (n, g.adj)
+            assert binding_sets_all(g) == sets, (n, g.adj)
+
+
+def test_scan_matches_oracle_on_seeded_graphs():
+    rng = random.Random(5101)
+    for n in range(7, 19):
+        for _ in range(60 if n <= 12 else 4):
+            g = _random_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.8, 0.95)))
+            r = binding_number_bruteforce(g)
+            b, witness, sets = _brute_oracle(g)
+            assert (r.value, r.witness) == (b, witness), (n, g.adj)
+            if n <= 12:
+                assert binding_sets_all(g) == sets, (n, g.adj)
+
+
+def test_scan_matches_oracle_across_high_blocks():
+    # n > 16: blocks of 2^16 sets, 32 of them at n = 21; in K_17 and C_18
+    # the sets of least rank lie in several blocks, the lex-least in the first
+    rng = random.Random(5102)
+    graphs = [_random_graph(rng, 21, p) for p in (0.2, 0.6)] + [complete(17), cycle(18)]
+    for g in graphs:
+        r = binding_number_bruteforce(g)
+        assert (r.value, r.witness) == _brute_oracle(g)[:2], g.adj
+
+
 def test_small_anchors_brute():
     r = binding_number_bruteforce(path(3))
     assert r.value == Fraction(1, 2)

@@ -1,4 +1,4 @@
-"""Property tests of the certified root comparison (needs hypothesis)."""
+"""Property tests (need hypothesis): root comparison, graph6, flow = brute."""
 
 import pytest
 
@@ -6,6 +6,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from bindex.binding import binding_number_bruteforce, binding_number_flow
 from bindex.codec import graph6_decode, graph6_encode
 from bindex.graph import Graph
 from bindex.polynomials import EQUAL, LESS, IntPolynomial, compare_largest_roots
@@ -41,9 +42,19 @@ def test_a_multiple_has_no_smaller_largest_root(p, q):
     assert compare_largest_roots(p, p * q) in (EQUAL, LESS)
 
 
+def graphs(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        .map(lambda edges: Graph.from_edges(n, [(u, v) for u, v in edges if u != v])))
+
+
 @_SETTINGS
-@given(st.integers(1, 40).flatmap(
-    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
-    .map(lambda edges: Graph.from_edges(n, [(u, v) for u, v in edges if u != v]))))
+@given(graphs(40))
 def test_graph6_round_trip(g):
     assert graph6_decode(graph6_encode(g)) == g
+
+
+@_SETTINGS
+@given(graphs(12))
+def test_flow_value_equals_brute_value(g):
+    assert binding_number_flow(g).value == binding_number_bruteforce(g).value

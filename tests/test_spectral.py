@@ -3,10 +3,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import bindex.spectral as spectral
-from bindex.constructions import bipartite_extremal_D, family_general, general_extremal
+from bindex.constructions import (
+    bipartite_extremal_D,
+    bipartite_extremal_K,
+    family_general,
+    general_extremal,
+)
 from bindex.graph import (
     BipartitionSpec,
     DomainError,
@@ -15,6 +21,7 @@ from bindex.graph import (
     complete_bipartite,
     disjoint_union,
     double_nested,
+    vertices_of,
 )
 from bindex.polynomials import IntPolynomial
 from bindex.spectral import (
@@ -60,6 +67,43 @@ def test_power_iteration_components():
 def test_power_iteration_deterministic():
     g = double_nested(BipartitionSpec((3, 4), (2, 5)))
     assert spectral_radius_power(g) == spectral_radius_power(g)
+
+
+def _radius_with_linalg_norm(g, tol=1e-12):
+    """spectral_radius_power with both norms taken by np.linalg.norm."""
+    best = 0.0
+    for comp in g.components():
+        verts = vertices_of(comp)
+        k = len(verts)
+        if k == 1:
+            continue
+        a = np.zeros((k, k))
+        for i, v in enumerate(verts):
+            for j, w in enumerate(verts):
+                a[i, j] = float(g.adj[v] >> w & 1)
+        x = np.ones(k) / np.sqrt(k)
+        for _ in range(spectral._POWER_CAP):
+            y = a @ x + x
+            lam = float(x @ y)
+            if float(np.linalg.norm(y - lam * x)) <= tol * lam:
+                break
+            x = y / float(np.linalg.norm(y))
+        best = max(best, lam - 1.0)
+    return best
+
+
+def test_power_iteration_bit_identical_to_linalg_norm_loop():
+    seen = 0
+    for r in range(1, 4):
+        for n in range(r + 3, 21):
+            cs = [bipartite_extremal_K(n, r)]
+            cs += [family_general(n, r, t1) for t1 in range(1, (n - 3) // (r + 1) + 1)]
+            if n >= r + 5:
+                cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
+            for c in cs:
+                assert spectral_radius_power(c.graph) == _radius_with_linalg_norm(c.graph), c.label
+                seen += 1
+    assert seen > 200
 
 
 def test_power_iteration_tol_validation():
