@@ -73,10 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bindex", description="binding number toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+        """--out and --threads everywhere; --format where the output reads it."""
         p.add_argument("--out", default=None, help="output file, or - for stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--threads", type=_positive_int, default=None)
+
+    json_or_text = ("json", "text")
+    report_formats = ("json", "csv", "text")
 
     def graph_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--g6", default=None, help="inline graph6 string")
@@ -106,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
             c.add_argument("--t1", type=int, default=1)
         if name == "bipD":
             c.add_argument("--variant", choices=("ceil", "floor"), default="ceil")
-        common(c)
+        common(c, json_or_text)
     c = cs.add_parser("dnest")
     c.add_argument("--p", type=_parts, required=True, help="X block sizes, comma-separated")
     c.add_argument("--q", type=_parts, required=True, help="Y block sizes, comma-separated")
-    common(c)
+    common(c, json_or_text)
 
     p = sub.add_parser("regime", help="extremal regime dispatch")
     rs = p.add_subparsers(dest="what", required=True)
@@ -118,23 +123,23 @@ def build_parser() -> argparse.ArgumentParser:
         c = rs.add_parser(name)
         c.add_argument("--n", type=int, required=True)
         c.add_argument("--r", type=int, required=True)
-        common(c)
+        common(c, json_or_text)
 
     p = sub.add_parser("scan", help="family sweeps")
     ss = p.add_subparsers(dest="what", required=True)
     c = ss.add_parser("family")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
-    common(c)
+    common(c, report_formats)
     c = ss.add_parser("bipfamily")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
-    common(c)
+    common(c, report_formats)
     c = ss.add_parser("lemma12")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
-    common(c)
+    common(c, report_formats)
 
     p = sub.add_parser("verify", help="verification runs")
     vs = p.add_subparsers(dest="what", required=True)
@@ -142,18 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
-    common(c)
+    common(c, report_formats)
     c = vs.add_parser("thm6")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
-    common(c)
+    common(c, report_formats)
     c = vs.add_parser("properties")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--samples", type=int, default=1000)
     c.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common(c)
+    common(c, report_formats)
     c = vs.add_parser("identities")
-    common(c)
+    common(c, report_formats)
 
     p = sub.add_parser("encode", help="edge list to graph6")
     graph_input(p)

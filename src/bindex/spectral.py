@@ -360,36 +360,3 @@ def certified_radius(g: Graph, partition: Sequence[int]) -> RootInterval:
     if not g.is_connected():
         raise DomainError("certified radius needs a connected graph")
     return largest_real_root(charpoly(quotient_matrix(g, partition)))
-
-
-def _is_complete_bipartite(g: Graph) -> bool:
-    parts = g.bipartition()
-    if parts is None:
-        return False
-    x, y = parts
-    if x == 0 or y == 0:
-        return False
-    for v in vertices_of(x):
-        if g.adj[v] != y:
-            return False
-    return True
-
-
-def check_rho_le_sqrt_e(g: Graph, tol: float = 1e-9) -> bool:
-    """rho(G) <= sqrt(e(G)) for bipartite G, tight iff complete bipartite.
-
-    The tightness clause is asserted only for connected inputs with at
-    least one edge; isolated vertices change neither rho nor e but break
-    the literal complete-bipartite reading.
-    """
-    if g.bipartition() is None:
-        raise DomainError("rho <= sqrt(e) check applies to bipartite graphs")
-    e = g.edge_count()
-    rho = spectral_radius_power(g)
-    bound = float(np.sqrt(e))
-    if rho > bound + tol:
-        return False
-    if g.is_connected() and e >= 1:
-        tight = abs(rho - bound) <= tol
-        return tight == _is_complete_bipartite(g)
-    return True

@@ -2,12 +2,18 @@
 
 Every run returns a VerificationReport. Verdicts are computed from exact
 arithmetic only; floating values appear in counters for readability but
-never decide anything. Scans are deterministic: fixed shard order, fixed
-audit rule, canonically sorted witness lists. elapsed_ms is the one
+never decide anything. Scans are deterministic: fixed enumeration order,
+fixed audit rule, canonically sorted witness lists. elapsed_ms is the one
 counter excluded from determinism comparisons.
 
-Bipartite enumeration walks biadjacency masks in numpy chunks and first
-drops every mask with an isolated vertex. For the survivors, with parts
+Bipartite enumeration visits multisets of p nonzero rows, not labeled
+biadjacency masks: edge count, isolated vertices and b < 1/r do not
+change when the rows of a mask are permuted, so each multiset stands for
+its p! / prod(mult!) labeled masks, and only the maximisers are expanded
+back into their distinct arrangements (orderly generation: R. C. Read,
+"Every one a winner", 1978; B. D. McKay, "Isomorph-free exhaustive
+generation", 1998). Every multiset with an isolated vertex is dropped
+first. For the survivors, with parts
 X (p rows) and Y (q <= p columns), b < 1/r holds iff some T inside one
 side has r * |N(T)| < |T|, and one table over the subsets U of Y decides
 both sides: with c(U) = #{x in X : N(x) inside U}, the X side holds iff
@@ -23,6 +29,8 @@ and its maximizers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 import time
@@ -36,6 +44,7 @@ import numpy as np
 
 from .binding import (
     _BRUTE_MAX,
+    _TOUGH_MAX,
     binding_number_bruteforce,
     binding_number_flow,
     binding_sets_all,
@@ -63,8 +72,8 @@ from .polynomials import (
 from .spectral import charpoly, compare_radii, family_polynomial, quotient_matrix
 
 _BIADJ_LIMIT = 28
-_CHUNK = 1 << 22
 _AUDIT_STRIDE = 1000
+_POOL_AUDITS = 256
 _DEFAULT_SEED = 1009
 
 PASS = "pass"
@@ -123,6 +132,19 @@ def _exact_binding(g: Graph):
     return binding_number_flow(g)
 
 
+def _fail_report(
+    claim_id: str, params: dict, g: Graph, t0: float, error: str, **where
+) -> VerificationReport:
+    """A fail verdict witnessed by g, with the error and where it arose."""
+    return VerificationReport(
+        claim_id=claim_id,
+        params=params,
+        verdict=FAIL,
+        witnesses=(graph6_encode(g),),
+        counters={"error": error, **where, "elapsed_ms": int((time.monotonic() - t0) * 1000)},
+    )
+
+
 def _interval_fields(iv: RootInterval) -> dict:
     return {
         "rho": iv.midpoint,
@@ -133,10 +155,6 @@ def _interval_fields(iv: RootInterval) -> dict:
 
 # ---------------------------------------------------------------------------
 # biadjacency scan machinery
-
-
-def _colmasks(p: int, q: int) -> list[int]:
-    return [sum(1 << (i * q + j) for i in range(p)) for j in range(q)]
 
 
 def _transpose_int(mask: int, p: int, q: int) -> int:
@@ -169,17 +187,22 @@ def _biadj_of_construction(c: Construction, p: int, q: int) -> int:
     return mask
 
 
-def _member(ms: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
-    """b < 1/r for each mask, which must have no isolated vertex.
+def _survivors(rows: np.ndarray, q: int, e0: int) -> np.ndarray:
+    """Columns with at least e0 edges, no zero row and every column of Y met."""
+    edges = np.bitwise_count(rows).sum(axis=0, dtype=np.int64)
+    covered = np.bitwise_or.reduce(rows, axis=0) == (1 << q) - 1
+    return (edges >= e0) & (rows != 0).all(axis=0) & covered
+
+
+def _member(rows: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
+    """b < 1/r for each column of a p x N array of rows; none may be isolated.
 
     Some U inside Y needs c(U) > bound(U), where bound(U) is r * |U| for
     the X side and, when |Y - U| > r, (r * p - |Y - U|) // r for the Y side.
     A U with bound(U) >= p can never hold, as c(U) <= p.
     """
     full = (1 << q) - 1
-    # p * q <= 28 and q <= p give q <= 5, so a row fits in a uint8
-    rows = np.stack([(ms >> np.uint64(q * i)).astype(np.uint8) & full for i in range(p)])
-    ok = np.zeros(ms.shape, bool)
+    ok = np.zeros(rows.shape[1], bool)
     for u in range(full + 1):
         t = q - u.bit_count()
         bound = r * u.bit_count()
@@ -190,79 +213,89 @@ def _member(ms: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
     return ok
 
 
-def _scan_range(args) -> tuple[int, list[int], int, int, int]:
-    """One shard: returns (max, masks at max, survivors, audited, audit bad)."""
-    p, q, r, e0, start, end = args
-    rowmask = np.uint64((1 << q) - 1)
-    cols = [np.uint64(c) for c in _colmasks(p, q)]
-    best = -1
-    best_masks: list[int] = []
-    survivors = 0
-    audited = 0
-    audit_bad = 0
-    for lo in range(start, end, _CHUNK):
-        hi = min(lo + _CHUNK, end)
-        chunk = np.arange(lo, hi, dtype=np.uint64)
-        keep = np.bitwise_count(chunk).astype(np.int64) >= e0
-        chunk = chunk[keep]
-        if chunk.size == 0:
-            continue
-        alive = np.ones(chunk.shape, bool)
-        for i in range(p):
-            alive &= ((chunk >> np.uint64(q * i)) & rowmask) != 0
-        for c in cols:
-            alive &= (chunk & c) != 0
-        chunk = chunk[alive]
-        if chunk.size == 0:
-            continue
-        survivors += int(chunk.size)
-        member = _member(chunk, p, q, r)
-        for idx in np.nonzero(chunk % np.uint64(_AUDIT_STRIDE) == 0)[0].tolist():
-            audited += 1
-            m = int(chunk[idx])
-            g = _graph_of_biadj(m, p, q)
-            bv = _exact_binding(g).value
-            bf = binding_number_flow(g).value
-            if bv != bf or (bv < Fraction(1, r)) != bool(member[idx]):
-                audit_bad += 1
-        members = chunk[member]
-        if members.size == 0:
-            continue
-        counts = np.bitwise_count(members).astype(np.int64)
-        local = int(counts.max())
-        if local > best:
-            best = local
-            best_masks = [int(m) for m in members[counts == local]]
-        elif local == best:
-            best_masks.extend(int(m) for m in members[counts == local])
-    return best, best_masks, survivors, audited, audit_bad
+def _multisets(p: int, q: int) -> np.ndarray:
+    """Every multiset of p nonzero rows over q columns, one sorted column each.
+
+    p * q <= 28 and q <= p (n <= 10 for theorem 6) give q <= 5, so a row
+    fits in a uint8.
+    """
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(1, 1 << q), p)
+    )
+    return np.fromiter(flat, np.uint8).reshape(-1, p).T.copy()
+
+
+def _weights(rows: np.ndarray) -> np.ndarray:
+    """p! / prod(mult!) per column of sorted rows: its labeled arrangements.
+
+    Each division is exact: after row i the weight is the multinomial
+    coefficient of rows 0..i, at most 2^(p*q), so w * (i + 1) stays below
+    2^(p*q) * p in int64.
+    """
+    w = np.ones(rows.shape[1], np.int64)
+    run = np.ones(rows.shape[1], np.int64)
+    for i in range(1, rows.shape[0]):
+        run = np.where(rows[i] == rows[i - 1], run + 1, 1)
+        w = w * (i + 1) // run
+    return w
+
+
+def _arrangements(rows: tuple[int, ...]):
+    """The distinct orderings of a sorted tuple of rows."""
+    if not rows:
+        yield ()
+    for i, row in enumerate(rows):
+        if i == 0 or row != rows[i - 1]:
+            for rest in _arrangements(rows[:i] + rows[i + 1 :]):
+                yield (row, *rest)
+
+
+def _audit_failed(p: int, q: int, r: int, mask: int, member: bool) -> bool:
+    """Exact binding, flow and the kernel's verdict disagree on one mask."""
+    g = _graph_of_biadj(mask, p, q)
+    bv = _exact_binding(g).value
+    return bv != binding_number_flow(g).value or (bv < Fraction(1, r)) != member
 
 
 def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
-    total = 1 << (p * q)
-    shard = max(_CHUNK, (total + 7) // 8) if threads > 1 else total
-    shards = [
-        (p, q, r, e0, s, min(s + shard, total)) for s in range(0, total, shard)
-    ]
-    if threads > 1 and len(shards) > 1:
+    """(max, masks at max, survivors, audited, audit failures) of a p x q scan.
+
+    The scan covers every labeled biadjacency mask with at least e0 edges
+    and no isolated vertex, but visits each multiset of rows once: edge
+    count, isolated vertices and b < 1/r do not change when rows are
+    permuted. A multiset stands for its weight in labeled masks, and the
+    maximisers are expanded into their distinct arrangements. The audits
+    take every mask that is a multiple of _AUDIT_STRIDE and survives, so
+    they stay proportional to labeled work; with threads > 1 and at least
+    _POOL_AUDITS of them they run in a process pool. Worst case measured
+    (2-vCPU host): (7,4,3) takes 10.6-11.0 s serial and 6.0 s with 2
+    workers, almost all of it its 19589 audits.
+    """
+    rows = _multisets(p, q)
+    rows = rows[:, _survivors(rows, q, e0)]
+    survivors = int(_weights(rows).sum())
+    rows = rows[:, _member(rows, p, q, r)]
+    edges = np.bitwise_count(rows).sum(axis=0, dtype=np.int64)
+    best = int(edges.max(initial=-1))
+    masks = sorted(
+        sum(row << (q * i) for i, row in enumerate(arr))
+        for col in rows[:, edges == best].T.tolist()
+        for arr in _arrangements(tuple(col))
+    )
+    audit = np.arange(0, 1 << (p * q), _AUDIT_STRIDE, dtype=np.uint64)
+    shifts = np.arange(0, p * q, q, dtype=np.uint64)[:, None]
+    arows = (audit >> shifts & np.uint64((1 << q) - 1)).astype(np.uint8)
+    keep = _survivors(arows, q, e0)
+    audit_masks = audit[keep].tolist()
+    member = _member(arows[:, keep], p, q, r).tolist()
+    failed = functools.partial(_audit_failed, p, q, r)
+    if threads > 1 and len(audit_masks) >= _POOL_AUDITS:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_scan_range, shards))
+            chunk = -(-len(audit_masks) // (4 * threads))
+            audit_bad = sum(pool.map(failed, audit_masks, member, chunksize=chunk))
     else:
-        parts = [_scan_range(s) for s in shards]
-    best = -1
-    masks: list[int] = []
-    survivors = audited = audit_bad = 0
-    for b, bm, sv, au, ab in parts:
-        survivors += sv
-        audited += au
-        audit_bad += ab
-        if b > best:
-            best = b
-            masks = list(bm)
-        elif b == best and b >= 0:
-            masks.extend(bm)
-    masks.sort()
-    return best, masks, survivors, audited, audit_bad
+        audit_bad = sum(map(failed, audit_masks, member))
+    return best, masks, survivors, len(audit_masks), audit_bad
 
 
 def _canon_biadj(mask: int, p: int, q: int) -> tuple:
@@ -304,16 +337,9 @@ def enumerate_bipartite_max(p: int, q: int, r: int, threads: int = 1) -> Verific
     target = Fraction(1, r)
     cons_b = _exact_binding(cons.graph).value
     if cons_b >= target:
-        return VerificationReport(
-            claim_id="lemma6_max",
-            params=params,
-            verdict=FAIL,
-            witnesses=(graph6_encode(cons.graph),),
-            counters={
-                "error": "predicted extremal graph fails its own membership",
-                "binding": str(cons_b),
-                "elapsed_ms": int((time.monotonic() - t0) * 1000),
-            },
+        return _fail_report(
+            "lemma6_max", params, cons.graph, t0,
+            "predicted extremal graph fails its own membership", binding=str(cons_b),
         )
     best, masks, survivors, audited, audit_bad = _run_scan(p, q, r, e0, threads)
     pred_shape = _canon_shape(_biadj_of_construction(cons, p, q), p, q)
@@ -371,16 +397,9 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
             continue
         cons = lemma6_extremal(p, q, r)
         if _exact_binding(cons.graph).value >= target:
-            return VerificationReport(
-                claim_id="theorem6_enumeration",
-                params=params,
-                verdict=FAIL,
-                witnesses=(graph6_encode(cons.graph),),
-                counters={
-                    "error": "predicted part extremal fails membership",
-                    "part": [p, q],
-                    "elapsed_ms": int((time.monotonic() - t0) * 1000),
-                },
+            return _fail_report(
+                "theorem6_enumeration", params, cons.graph, t0,
+                "predicted part extremal fails membership", part=[p, q],
             )
         b, masks, sv, au, ab = _run_scan(p, q, r, sub.claimed_max, threads)
         survivors += sv
@@ -457,7 +476,12 @@ def _graph_from_pairmask(n: int, mask: int) -> Graph:
 def enumerate_general_properties(
     n: int, samples: int = 1000, seed: int = _DEFAULT_SEED
 ) -> VerificationReport:
-    """Binding-set independence, toughness bound, isolated rule, flow agreement."""
+    """Binding-set independence, toughness bound, isolated rule, flow agreement.
+
+    One subset table per graph: b is read from its first binding set.
+    """
+    if n > _TOUGH_MAX:
+        raise LimitError(f"property sweep capped at n <= {_TOUGH_MAX} (toughness brute force)")
     t0 = time.monotonic()
     pairs = n * (n - 1) // 2
     exhaustive = n <= 6
@@ -473,8 +497,8 @@ def enumerate_general_properties(
     for mask in masks:
         g = _graph_from_pairmask(n, mask)
         checked += 1
-        res = binding_number_bruteforce(g)
-        b = res.value
+        sets = binding_sets_all(g)
+        b = Fraction(g.neighborhood(sets[0]).bit_count(), sets[0].bit_count())
         bf = binding_number_flow(g).value
         graph_bad = False
         if b != bf:
@@ -484,7 +508,7 @@ def enumerate_general_properties(
             failures["isolated"] += 1
             graph_bad = True
         if b < one:
-            for s in binding_sets_all(g):
+            for s in sets:
                 if not g.is_independent(s):
                     failures["independence"] += 1
                     graph_bad = True
@@ -528,6 +552,17 @@ def _certified_argmax(items: Sequence[tuple[object, IntPolynomial]]):
     return [items[i][0] for i in best]
 
 
+def _family_charpoly(g: Graph, blocks, edges: int, family: str, **params):
+    """(charpoly, None) for a family member, or (None, error) when g misses
+    its edge formula or its quotient charpoly misses the transcription."""
+    if g.edge_count() != edges:
+        return None, f"edge count does not match the {family} family formula"
+    cp = charpoly(quotient_matrix(g, blocks))
+    if cp != family_polynomial(family, **params):
+        return None, f"quotient charpoly does not match {family} transcription"
+    return cp, None
+
+
 def scan_family_general(n: int, r: int) -> VerificationReport:
     """Sweep t1 over the join family; the t1 = 1 member should dominate."""
     if r < 1:
@@ -541,21 +576,12 @@ def scan_family_general(n: int, r: int) -> VerificationReport:
     edge_by_t = {}
     for t1 in range(1, tmax + 1):
         cons = family_general(n, r, t1)
-        e = cons.edge_count
-        qm = quotient_matrix(cons.graph, cons.blocks)
-        cp = charpoly(qm)
-        expect = family_polynomial("f3", n=n, r=r, t1=t1)
-        if cp != expect:
-            return VerificationReport(
-                claim_id="family_general_scan",
-                params={"n": n, "r": r},
-                verdict=FAIL,
-                witnesses=(graph6_encode(cons.graph),),
-                counters={
-                    "error": "quotient charpoly does not match f3 transcription",
-                    "t1": t1,
-                    "elapsed_ms": int((time.monotonic() - t0) * 1000),
-                },
+        clique = n - (r + 1) * t1 - 1
+        e = t1 * (t1 - 1) // 2 + clique * (clique - 1) // 2 + t1 * (n - t1)
+        cp, error = _family_charpoly(cons.graph, cons.blocks, e, "f3", n=n, r=r, t1=t1)
+        if error:
+            return _fail_report(
+                "family_general_scan", {"n": n, "r": r}, cons.graph, t0, error, t1=t1
             )
         iv = largest_real_root(cp)
         edge_by_t[t1] = e
@@ -695,17 +721,17 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
     if a_tmax < 1 and b_tmax < 1:
         raise DomainError("no valid block sizes for either family")
     t0 = time.monotonic()
+    params = {"p": p, "q": q, "r": r}
     rows = []
     a_polys = []
     a_edges = {}
     for t in range(1, a_tmax + 1):
         spec = BipartitionSpec((p - r * t - 1, r * t + 1), (t, q - t))
         g = double_nested(spec)
-        e = g.edge_count()
-        assert e == p * q + r * t * t + (1 - r * q) * t - q
-        cp = charpoly(quotient_matrix(g, spec.blocks()))
-        if cp != family_polynomial("g5", p=p, q=q, r=r, t=t):
-            raise AssertionError("quotient charpoly does not match g5 transcription")
+        e = p * q + r * t * t + (1 - r * q) * t - q
+        cp, error = _family_charpoly(g, spec.blocks(), e, "g5", p=p, q=q, r=r, t=t)
+        if error:
+            return _fail_report("bipartite_family_scan", params, g, t0, error, family="A", t=t)
         iv = largest_real_root(cp)
         a_polys.append((t, cp))
         a_edges[t] = e
@@ -714,11 +740,10 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
     for t in range(1, b_tmax + 1):
         spec = BipartitionSpec((t, p - t), (q - r * t - 1, r * t + 1))
         g = double_nested(spec)
-        e = g.edge_count()
-        assert e == p * q + r * t * t + (1 - r * p) * t - p
-        cp = charpoly(quotient_matrix(g, spec.blocks()))
-        if cp != family_polynomial("g1", p=p, q=q, r=r, t=t):
-            raise AssertionError("quotient charpoly does not match g1 transcription")
+        e = p * q + r * t * t + (1 - r * p) * t - p
+        cp, error = _family_charpoly(g, spec.blocks(), e, "g1", p=p, q=q, r=r, t=t)
+        if error:
+            return _fail_report("bipartite_family_scan", params, g, t0, error, family="B", t=t)
         iv = largest_real_root(cp)
         b_edges[t] = e
         rows.append({"family": "B", "t": t, "edges": e, **_interval_fields(iv)})
@@ -765,7 +790,7 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
     }
     return VerificationReport(
         claim_id="bipartite_family_scan",
-        params={"p": p, "q": q, "r": r},
+        params=params,
         verdict=PASS if ok else FAIL,
         witnesses=tuple(sorted(witness_graphs)),
         counters=counters,
@@ -791,12 +816,13 @@ def scan_lemma12(n: int, r: int) -> VerificationReport:
     for q in range(q_lo, q_hi + 1):
         spec = BipartitionSpec((n - q - r - 1, r + 1), (1, q - 1))
         g = double_nested(spec)
-        cp = charpoly(quotient_matrix(g, spec.blocks()))
-        if cp != family_polynomial("h1", n=n, q=q, r=r):
-            raise AssertionError("quotient charpoly does not match h1 transcription")
+        e = (n - q - r - 1) * q + r + 1
+        cp, error = _family_charpoly(g, spec.blocks(), e, "h1", n=n, q=q, r=r)
+        if error:
+            return _fail_report("lemma12_scan", {"n": n, "r": r}, g, t0, error, q=q)
         order = compare_radii(cp, ref)
         iv = largest_real_root(cp)
-        rows.append({"q": q, "edges": g.edge_count(), "order_vs_beta": order, **_interval_fields(iv)})
+        rows.append({"q": q, "edges": e, "order_vs_beta": order, **_interval_fields(iv)})
         ok &= order == ("Equal" if q == beta else "Less")
     argmax = [row["q"] for row in rows if row["order_vs_beta"] == "Equal"]
     expected_argmax = [beta] if q_lo <= beta <= q_hi else []

@@ -133,6 +133,31 @@ def test_exit_two_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["binding", "--g6", "DQw", "--format", "json"],
+    ["toughness", "--g6", "Bg", "--format", "text"],
+    ["spectral", "--g6", "Cr", "--format", "csv"],
+    ["encode", "--g6", "Bw", "--format", "json"],
+    ["decode", "--g6", "Bw", "--format", "text"],
+    ["construct", "general", "--n", "10", "--r", "2", "--format", "csv"],
+    ["construct", "dnest", "--p", "2,3", "--q", "1,2", "--format", "csv"],
+    ["regime", "thm6", "--n", "25", "--r", "3", "--format", "csv"],
+])
+def test_format_only_where_it_is_read(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --format" in err or "invalid choice" in err
+
+
+def test_json_where_it_is_read_and_threads_everywhere(capsys):
+    assert run(["construct", "general", "--n", "10", "--r", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "K1_join(10,2)"
+    assert run(["regime", "thm6", "--n", "25", "--r", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "bip_tie"
+    assert run(["binding", "--g6", "Bw", "--threads", "1"]) == 0
+    assert capsys.readouterr().out == "b = 2/1\nwitness = {0}\nmethod = brute\n"
+
+
 def test_exit_one_on_fail_verdict(capsys):
     rep = VerificationReport(
         claim_id="lemma6_max", params={"p": 2, "q": 2, "r": 1},

@@ -30,7 +30,6 @@ from bindex.spectral import (
     QuotientMatrix,
     certified_radius,
     charpoly,
-    check_rho_le_sqrt_e,
     compare_radii,
     family_parameters,
     family_polynomial,
@@ -289,19 +288,6 @@ def test_certified_radius():
     assert abs(spectral_radius_power(g) - iv.midpoint) < 1e-8
     with pytest.raises(DomainError):
         certified_radius(disjoint_union(complete(2), complete(2)), [0b11, 0b1100])
-
-
-def test_rho_at_most_sqrt_edges():
-    assert check_rho_le_sqrt_e(complete_bipartite(4, 3))
-    assert check_rho_le_sqrt_e(path(4))
-    assert check_rho_le_sqrt_e(double_nested(BipartitionSpec((2, 3), (1, 2))))
-    assert check_rho_le_sqrt_e(disjoint_union(path(2), path(2)))
-    with pytest.raises(DomainError):
-        check_rho_le_sqrt_e(complete(3))
-    # equality exactly on complete bipartite graphs
-    k52 = complete_bipartite(5, 2)
-    assert check_rho_le_sqrt_e(k52)
-    assert abs(spectral_radius_power(k52) - math.sqrt(10)) < 1e-9
 
 
 def test_rho_strictly_drops_after_edge_deletion():

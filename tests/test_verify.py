@@ -1,5 +1,6 @@
 """Exhaustive scans, sweeps, and identity checks with frozen expectations."""
 
+import hashlib
 import json
 import math
 import random
@@ -8,15 +9,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bindex.verify as verify
 from bindex.binding import binding_number_bruteforce, binding_number_flow
+from bindex.cli import run
 from bindex.codec import graph6_decode
+from bindex.constructions import lemma6_max
 from bindex.graph import DomainError, LimitError
+from bindex.polynomials import IntPolynomial
 from bindex.verify import (
     VerificationReport,
-    _colmasks,
+    _arrangements,
     _graph_of_biadj,
     _member,
+    _multisets,
+    _run_scan,
     _transpose_int,
+    _weights,
     check_polynomial_identities,
     enumerate_bipartite_max,
     enumerate_bipartite_theorem6,
@@ -75,7 +83,7 @@ def test_bipartite_max_validation():
         enumerate_bipartite_max(2, 2, 2)  # empty family
 
 
-def test_bipartite_max_deterministic_and_parallel():
+def test_bipartite_max_deterministic_and_parallel(monkeypatch):
     a = enumerate_bipartite_max(5, 3, 2)
     b = enumerate_bipartite_max(5, 3, 2)
     assert a.comparable() == b.comparable()
@@ -83,26 +91,134 @@ def test_bipartite_max_deterministic_and_parallel():
     assert a.comparable() == c.comparable()
     d = enumerate_bipartite_max(4, 4, 1, threads=2)
     assert d.comparable() == enumerate_bipartite_max(4, 4, 1).comparable()
-    # 2^24 masks make four 2^22-mask shards, so threads=2 runs the pool
+    pools = []
+
+    class SpyPool(verify.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SpyPool)
     serial = enumerate_bipartite_max(6, 4, 2)
+    assert pools == []
+    # 481 audits reach the pool threshold, so threads=2 runs them in the pool
+    assert serial.counters["audited"] == 481 >= verify._POOL_AUDITS
     assert serial.comparable() == enumerate_bipartite_max(6, 4, 2, threads=2).comparable()
+    assert pools == [{"max_workers": 2}]
+
+
+def _rows_of(m, p, q):
+    return [(m >> (q * i)) & ((1 << q) - 1) for i in range(p)]
+
+
+def _row_array(ms, p, q):
+    """The p x N uint8 row array of uint64 masks that _member takes."""
+    full = np.uint64((1 << q) - 1)
+    return np.stack([(ms >> np.uint64(q * i)) & full for i in range(p)]).astype(np.uint8)
 
 
 def _no_isolated_vertex(m, p, q):
-    rows = (1 << q) - 1
-    return all(m >> (q * i) & rows for i in range(p)) and all(m & c for c in _colmasks(p, q))
+    rows = _rows_of(m, p, q)
+    columns_met = 0
+    for row in rows:
+        columns_met |= row
+    return all(rows) and columns_met == (1 << q) - 1
+
+
+def _labeled_scan(p, q, r, e0):
+    """Reference: the labeled scan over every one of the 2^(p*q) masks."""
+    full = np.uint64((1 << q) - 1)
+    ms = np.arange(1 << (p * q), dtype=np.uint64)
+    ms = ms[np.bitwise_count(ms).astype(np.int64) >= e0]
+    alive = np.ones(ms.shape, bool)
+    for i in range(p):
+        alive &= ((ms >> np.uint64(q * i)) & full) != 0
+    for j in range(q):
+        alive &= (ms & np.uint64(sum(1 << (i * q + j) for i in range(p)))) != 0
+    ms = ms[alive]
+    member = _member(_row_array(ms, p, q), p, q, r)
+    audited = audit_bad = 0
+    for idx in np.nonzero(ms % np.uint64(1000) == 0)[0].tolist():
+        audited += 1
+        g = _graph_of_biadj(int(ms[idx]), p, q)
+        bv = binding_number_bruteforce(g).value
+        if bv != binding_number_flow(g).value or (bv < Fraction(1, r)) != bool(member[idx]):
+            audit_bad += 1
+    members = ms[member]
+    counts = np.bitwise_count(members).astype(np.int64)
+    best = int(counts.max(initial=-1))
+    masks = sorted(int(m) for m in members[counts == best])
+    return best, masks, int(ms.size), audited, audit_bad
+
+
+_SHAPES_20 = [(p, q) for q in range(1, 5) for p in range(q, 21) if p * q <= 20]
+
+
+@pytest.mark.parametrize("p,q", _SHAPES_20)
+def test_multiset_scan_matches_labeled_scan(p, q):
+    for r in (1, 2, 3):
+        try:
+            e0s = [0, lemma6_max(p, q, r).claimed_max]
+        except DomainError:
+            e0s = [0]
+        for e0 in e0s:
+            assert _run_scan(p, q, r, e0, 1) == _labeled_scan(p, q, r, e0), (r, e0)
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (4, 3), (6, 2), (4, 4), (3, 5), (14, 1)])
+def test_multiset_weights_count_distinct_arrangements(p, q):
+    rows = _multisets(p, q)
+    weights = _weights(rows)
+    assert int(weights.sum()) == ((1 << q) - 1) ** p
+    assert (np.diff(rows.astype(int), axis=0) >= 0).all()
+    for col, w in zip(rows.T.tolist()[::3], weights.tolist()[::3]):
+        arrangements = list(_arrangements(tuple(col)))
+        assert len(arrangements) == len(set(arrangements)) == w
+        assert all(sorted(a) == col for a in arrangements)
+
+
+@pytest.mark.parametrize("p,q,r", [(5, 3, 2), (4, 4, 1), (8, 3, 3), (7, 4, 2), (14, 2, 1)])
+def test_maximiser_weights_sum_to_the_masks(p, q, r):
+    best, masks, *_ = _run_scan(p, q, r, lemma6_max(p, q, r).claimed_max, 1)
+    assert len(set(masks)) == len(masks) > 0
+    multisets = {tuple(sorted(_rows_of(m, p, q))) for m in masks}
+    cols = np.array(sorted(multisets), dtype=np.uint8).T
+    assert int(_weights(cols).sum()) == len(masks)
+
+
+# sha256 of json.dumps(comparable(), sort_keys=True), computed with the
+# labeled chunk scan that the multiset scan replaced
+_PINNED = {
+    ("lemma6", 7, 2, 3): "24bbf95270d5d524e7d6372a3f61280ce7e25506badf0bbe1ab61a09047d8714",
+    ("lemma6", 8, 3, 3): "9ffc8eb961a4caa7068a92182db66f9179ac49a3d496189ce01d5754819e1fb4",
+    ("lemma6", 5, 3, 2): "c12b6e32d09f4831f446a45c685c05f92977a009ba50028f98d95814664fd228",
+    ("lemma6", 7, 4, 2): "90679062e3ddfa622cad2f72dc34dff0dbfa7a900a801c5a04178f194b71aa7d",
+    ("lemma6", 4, 4, 1): "e90502136af47757d0f5217616ed46db620e05fb18201ecdfe2dd12821ba9394",
+    ("lemma6", 6, 4, 2): "cc8f136b8c7419be5a383970d917892bd43c50fb4dd53908db0be808c7a9057a",
+    ("thm6", 9, 1): "6ff023e9feb1d902fbc089dd948c0b599a00b45d1f114a9fb226438f3ff173bb",
+    ("thm6", 7, 2): "b1ebbf9fe34ece5e3322a2d8bc0a17b214c5f1246e31e84bb0e12e7ab5dea9f8",
+    ("thm6", 8, 2): "e5a0acdaa2dd6f26ebc811a32dda719dd7e6fc032f6a2ee6387d5ff92f2275b3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_scan_reports_match_pinned_digests(case):
+    kind, *args = case
+    run_scan = enumerate_bipartite_max if kind == "lemma6" else enumerate_bipartite_theorem6
+    text = json.dumps(run_scan(*args).comparable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED[case]
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 2), (6, 2), (12, 1)])
 def test_member_kernel_matches_exact_binding(p, q):
     masks = [m for m in range(1 << (p * q)) if _no_isolated_vertex(m, p, q)]
-    ms = np.array(masks, dtype=np.uint64)
+    ms = _row_array(np.array(masks, dtype=np.uint64), p, q)
     values = [binding_number_bruteforce(_graph_of_biadj(m, p, q)).value for m in masks]
     for r in (1, 2, 3):
         want = [v < Fraction(1, r) for v in values]
         assert _member(ms, p, q, r).tolist() == want, r
         for i in range(0, len(masks), 7):  # one-mask arrays
-            assert _member(ms[i : i + 1], p, q, r).tolist() == [want[i]], (masks[i], r)
+            assert _member(ms[:, i : i + 1], p, q, r).tolist() == [want[i]], (masks[i], r)
 
 
 @pytest.mark.parametrize(
@@ -123,13 +239,13 @@ def test_member_kernel_matches_flow_on_samples(p, q, rs):
         m = sum(row << (q * i) for i, row in enumerate(rows))
         if _no_isolated_vertex(m, p, q):
             masks.append(m)
-    ms = np.array(masks, dtype=np.uint64)
+    ms = _row_array(np.array(masks, dtype=np.uint64), p, q)
     values = [binding_number_flow(_graph_of_biadj(m, p, q)).value for m in masks]
     seen = set()
     for r in rs:
         want = [v < Fraction(1, r) for v in values]
         assert _member(ms, p, q, r).tolist() == want, r
-        assert _member(ms[:1], p, q, r).tolist() == want[:1], r
+        assert _member(ms[:, :1], p, q, r).tolist() == want[:1], r
         seen.update(want)
     assert seen == {False, True}
 
@@ -141,7 +257,7 @@ def test_member_kernel_needs_the_y_side():
     rows = [0b00111, 0b01000, 0b01000, 0b10000, 0b10000]
     m = sum(row << (5 * i) for i, row in enumerate(rows))
     assert binding_number_bruteforce(_graph_of_biadj(m, 5, 5)).value == Fraction(1, 3)
-    ms = np.array([m, _transpose_int(m, 5, 5)], dtype=np.uint64)
+    ms = _row_array(np.array([m, _transpose_int(m, 5, 5)], dtype=np.uint64), 5, 5)
     assert _member(ms, 5, 5, 2).tolist() == [True, True]
     assert _member(ms, 5, 5, 3).tolist() == [False, False]
 
@@ -196,6 +312,14 @@ def test_general_properties_sampled():
     assert rep.counters["seed"] == 17
     again = enumerate_general_properties(8, samples=50, seed=17)
     assert rep.comparable() == again.comparable()
+
+
+def test_general_properties_capped_at_the_toughness_limit(capsys):
+    for n in (17, 24):
+        with pytest.raises(LimitError):
+            enumerate_general_properties(n, samples=10)
+    assert run(["verify", "properties", "--n", "17", "--samples", "300"]) == 2
+    assert "n <= 16" in capsys.readouterr().err
 
 
 def test_general_properties_sampled_ten():
@@ -267,6 +391,33 @@ def test_bipartite_family_chain():
 def test_bipartite_family_validation():
     with pytest.raises(DomainError):
         scan_bipartite_family(3, 3, 3)
+
+
+_SWEEPS = [
+    (scan_family_general, (16, 1), "f3", {"t1": 1}),
+    (scan_bipartite_family, (8, 3, 3), "g5", {"family": "A", "t": 1}),
+    (scan_lemma12, (13, 2), "h1", {"q": 4}),
+]
+
+
+def test_family_sweeps_fail_on_a_wrong_transcription(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "family_polynomial", lambda name, **params: IntPolynomial((1, 1)))
+    for sweep, args, family, where in _SWEEPS:
+        rep = sweep(*args)
+        assert rep.verdict == "fail", sweep
+        assert rep.counters["error"] == f"quotient charpoly does not match {family} transcription"
+        assert {k: rep.counters[k] for k in where} == where
+    assert run(["scan", "bipfamily", "--p", "8", "--q", "3", "--r", "3"]) == 1
+    assert "verdict = fail" in capsys.readouterr().out
+
+
+def test_family_sweeps_fail_on_a_wrong_edge_count(monkeypatch):
+    monkeypatch.setattr(verify.Graph, "edge_count", lambda self: -1)
+    for sweep, args, family, where in _SWEEPS:
+        rep = sweep(*args)
+        assert rep.verdict == "fail", sweep
+        assert rep.counters["error"] == f"edge count does not match the {family} family formula"
+        assert {k: rep.counters[k] for k in where} == where
 
 
 def test_lemma12_sweep():
