@@ -73,7 +73,7 @@ from .spectral import charpoly, compare_radii, family_polynomial, quotient_matri
 
 _BIADJ_LIMIT = 28
 _AUDIT_STRIDE = 1000
-_POOL_AUDITS = 256
+_POOL_AUDITS = 150
 _DEFAULT_SEED = 1009
 
 PASS = "pass"
@@ -187,11 +187,11 @@ def _biadj_of_construction(c: Construction, p: int, q: int) -> int:
     return mask
 
 
-def _survivors(rows: np.ndarray, q: int, e0: int) -> np.ndarray:
-    """Columns with at least e0 edges, no zero row and every column of Y met."""
+def _survivors(rows: np.ndarray, q: int, e0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, edges) per column: at least e0 edges, no zero row, all of Y met."""
     edges = np.bitwise_count(rows).sum(axis=0, dtype=np.int64)
     covered = np.bitwise_or.reduce(rows, axis=0) == (1 << q) - 1
-    return (edges >= e0) & (rows != 0).all(axis=0) & covered
+    return (edges >= e0) & (rows != 0).all(axis=0) & covered, edges
 
 
 def _member(rows: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
@@ -267,25 +267,28 @@ def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
     maximisers are expanded into their distinct arrangements. The audits
     take every mask that is a multiple of _AUDIT_STRIDE and survives, so
     they stay proportional to labeled work; with threads > 1 and at least
-    _POOL_AUDITS of them they run in a process pool. Worst case measured
-    (2-vCPU host): (7,4,3) takes 10.6-11.0 s serial and 6.0 s with 2
-    workers, almost all of it its 19589 audits.
+    _POOL_AUDITS of them they run in a process pool, where it pays on an
+    idle 2-vCPU host (interleaved pairs: start-up 15-17 ms, an audit about
+    0.5 ms; (5,4,2)'s 117 audits tie at 61 against 60 ms, (6,4,2)'s 481
+    take 230 ms serial and 138 ms with 2 workers; a busy second CPU
+    reverses this). Worst case: (7,4,3) takes 10.6-11.0 s serial and
+    6.0 s with 2 workers, almost all of it its 19589 audits.
     """
     rows = _multisets(p, q)
-    rows = rows[:, _survivors(rows, q, e0)]
+    keep, edges = _survivors(rows, q, e0)
+    rows, edges = rows[:, keep], edges[keep]
     survivors = int(_weights(rows).sum())
-    rows = rows[:, _member(rows, p, q, r)]
-    edges = np.bitwise_count(rows).sum(axis=0, dtype=np.int64)
-    best = int(edges.max(initial=-1))
+    member = _member(rows, p, q, r)
+    best = int(edges[member].max(initial=-1))
     masks = sorted(
         sum(row << (q * i) for i, row in enumerate(arr))
-        for col in rows[:, edges == best].T.tolist()
+        for col in rows[:, member & (edges == best)].T.tolist()
         for arr in _arrangements(tuple(col))
     )
     audit = np.arange(0, 1 << (p * q), _AUDIT_STRIDE, dtype=np.uint64)
     shifts = np.arange(0, p * q, q, dtype=np.uint64)[:, None]
     arows = (audit >> shifts & np.uint64((1 << q) - 1)).astype(np.uint8)
-    keep = _survivors(arows, q, e0)
+    keep = _survivors(arows, q, e0)[0]
     audit_masks = audit[keep].tolist()
     member = _member(arows[:, keep], p, q, r).tolist()
     failed = functools.partial(_audit_failed, p, q, r)

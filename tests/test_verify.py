@@ -101,6 +101,11 @@ def test_bipartite_max_deterministic_and_parallel(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", SpyPool)
     serial = enumerate_bipartite_max(6, 4, 2)
     assert pools == []
+    # 117 audits stay below the pool threshold even with threads=2
+    small = enumerate_bipartite_max(5, 4, 2, threads=2)
+    assert small.counters["audited"] == 117 < verify._POOL_AUDITS
+    assert small.comparable() == enumerate_bipartite_max(5, 4, 2).comparable()
+    assert pools == []
     # 481 audits reach the pool threshold, so threads=2 runs them in the pool
     assert serial.counters["audited"] == 481 >= verify._POOL_AUDITS
     assert serial.comparable() == enumerate_bipartite_max(6, 4, 2, threads=2).comparable()
