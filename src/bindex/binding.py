@@ -369,6 +369,14 @@ def binding_number_flow(g: Graph) -> BindingResult:
         t = Fraction(g.neighborhood(w).bit_count(), w.bit_count())
 
 
+def binding_number(g: Graph) -> BindingResult:
+    """Exact b(G): brute force up to n = 24, whose witness is canonical,
+    flow above it."""
+    if g.n <= _BRUTE_MAX:
+        return binding_number_bruteforce(g)
+    return binding_number_flow(g)
+
+
 def binding_sets_all(g: Graph) -> list[int]:
     """All nonempty S with N(S) != V achieving b(G), lex order; n <= 20.
 

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .binding import (
-    _BRUTE_MAX,
+    binding_number,
     binding_number_bruteforce,
     binding_number_flow,
     toughness_bruteforce,
@@ -24,15 +24,18 @@ from .constructions import (
     RegimeReport,
     bipartite_extremal_D,
     bipartite_extremal_K,
+    double_nested_construction,
     family_general,
     general_extremal,
     theorem6_regime,
     theorem7_regime,
 )
-from .graph import BipartitionSpec, DomainError, Graph, LimitError, double_nested, vertices_of
+from .graph import DomainError, Graph, LimitError, vertices_of
 from .polynomials import RootInterval
-from .spectral import spectral_radius_power
+from .spectral import ConvergenceError, spectral_radius_power
 from .verify import (
+    _DEFAULT_SAMPLES,
+    _DEFAULT_SEED,
     VerificationReport,
     check_polynomial_identities,
     enumerate_bipartite_max,
@@ -42,8 +45,6 @@ from .verify import (
     scan_family_general,
     scan_lemma12,
 )
-
-_DEFAULT_SEED = 1009
 
 
 def _default_threads() -> int:
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(c, report_formats)
     c = vs.add_parser("properties")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--samples", type=int, default=1000)
+    c.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES)
     c.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     common(c, report_formats)
     c = vs.add_parser("identities")
@@ -184,11 +185,12 @@ def _read_graph(args) -> Graph:
 
 
 def _emit(args, text: str) -> None:
+    """Write text, newline-terminated, to stdout or to the --out file."""
+    if not text.endswith("\n"):
+        text += "\n"
     out = getattr(args, "out", None)
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -289,7 +291,9 @@ def _run(args) -> int:
     threads = args.threads if getattr(args, "threads", None) else _default_threads()
     if args.cmd == "binding":
         g = _read_graph(args)
-        if args.method == "brute" or (args.method == "auto" and g.n <= _BRUTE_MAX):
+        if args.method == "auto":
+            res = binding_number(g)
+        elif args.method == "brute":
             res = binding_number_bruteforce(g)
         else:
             res = binding_number_flow(g)
@@ -320,13 +324,7 @@ def _run(args) -> int:
         elif args.what == "bipD":
             cons = bipartite_extremal_D(args.n, args.r, args.variant)
         else:
-            spec = BipartitionSpec(args.p, args.q)
-            from .constructions import Construction
-
-            label = "D({};{})".format(
-                ",".join(str(x) for x in args.p), ",".join(str(x) for x in args.q)
-            )
-            cons = Construction(label=label, graph=double_nested(spec), blocks=spec.blocks())
+            cons = double_nested_construction(args.p, args.q)
         return _emit_construction(args, cons)
     if args.cmd == "regime":
         rep = theorem6_regime(args.n, args.r) if args.what == "thm6" else theorem7_regime(
@@ -357,7 +355,7 @@ def _run(args) -> int:
         return _emit_report(args, rep)
     if args.cmd == "encode":
         g = _read_graph(args)
-        _emit(args, graph6_encode(g) + "\n")
+        _emit(args, graph6_encode(g))
         return 0
     if args.cmd == "decode":
         g = _read_graph(args)
@@ -374,7 +372,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except (DomainError, LimitError, Graph6Error, ValueError) as exc:
+    except (DomainError, LimitError, Graph6Error, ValueError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

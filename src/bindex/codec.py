@@ -52,7 +52,11 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(text: str) -> Graph:
-    data = text.encode("ascii", errors="replace")
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        # every character before exc.start is one byte, so it is a byte offset
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 string", 0)
     pos = 0
@@ -130,11 +134,17 @@ def edge_list_decode(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise DomainError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise DomainError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise DomainError(f"duplicate edge {u} {v}")
+        seen.add(pair)
+        edges.append((u, v))
     return Graph.from_edges(n, edges)
 
 

@@ -24,7 +24,7 @@ from .graph import (
     join,
 )
 from .polynomials import IntPolynomial, RootInterval, largest_real_root
-from .spectral import compare_radii, family_polynomial
+from .spectral import beta_value, compare_radii, family_polynomial
 
 _REGIMES = frozenset(
     {
@@ -76,10 +76,6 @@ def _c2(m: int) -> int:
 
 def alpha_value(n: int, r: int) -> int:
     return (n - 1) // (r + 1)
-
-
-def beta_value(n: int, r: int) -> int:
-    return (n - r - 1) // 2
 
 
 def f_formula(n: int, r: int) -> int:
@@ -134,13 +130,11 @@ def _kab(a: int, b: int) -> Construction:
     return Construction(label=f"Kab({a},{b})", graph=g, blocks=blocks)
 
 
-def _dnest(p1: int, p2: int, q1: int, q2: int) -> Construction:
-    spec = BipartitionSpec((p1, p2), (q1, q2))
-    return Construction(
-        label=f"D({p1},{p2};{q1},{q2})",
-        graph=double_nested(spec),
-        blocks=spec.blocks(),
-    )
+def double_nested_construction(p: tuple[int, ...], q: tuple[int, ...]) -> Construction:
+    """The double nested graph on X blocks p and Y blocks q, labeled D(p;q)."""
+    spec = BipartitionSpec(p, q)
+    label = "D({};{})".format(",".join(map(str, p)), ",".join(map(str, q)))
+    return Construction(label=label, graph=double_nested(spec), blocks=spec.blocks())
 
 
 def bipartite_extremal_K(n: int, r: int) -> Construction:
@@ -167,8 +161,8 @@ def bipartite_extremal_D(n: int, r: int, variant: str = "ceil") -> Construction:
     b = beta_value(n, r)
     c = n - r - 1 - b
     if variant == "ceil":
-        return _dnest(c, r + 1, 1, b - 1)
-    return _dnest(b, r + 1, 1, c - 1)
+        return double_nested_construction((c, r + 1), (1, b - 1))
+    return double_nested_construction((b, r + 1), (1, c - 1))
 
 
 def _lemma6_case(p: int, q: int, r: int) -> str:
@@ -196,10 +190,10 @@ def lemma6_extremal(p: int, q: int, r: int) -> Construction:
     if q == 1:
         raise _empty_family_error(p, q, r)
     if case == "le6_case_ii":
-        return _dnest(p - r * (q - 1) - 1, r * (q - 1) + 1, q - 1, 1)
+        return double_nested_construction((p - r * (q - 1) - 1, r * (q - 1) + 1), (q - 1, 1))
     if p <= r + 1:
         raise _empty_family_error(p, q, r)
-    return _dnest(p - r - 1, r + 1, 1, q - 1)
+    return double_nested_construction((p - r - 1, r + 1), (1, q - 1))
 
 
 def lemma6_max(p: int, q: int, r: int) -> RegimeReport:
@@ -302,7 +296,6 @@ def theorem7_regime(n: int, r: int) -> RegimeReport:
         notes = ("radius maximizer is the ceil variant only",) + notes
         return _bip_report(n, r, "bip_f_lt_g", largest_real_root(d_poly), (ds[0],), hyp, notes)
     notes = (
-        "tie-case double nested graph expanded from its abbreviated form as "
-        f"D({n - r - 1 - beta_value(n, r)},{r + 1};1,{beta_value(n, r) - 1})",
+        f"tie-case double nested graph expanded from its abbreviated form as {ds[0].label}",
     ) + notes
     return _bip_report(n, r, "bip_tie", largest_real_root(k_poly), (k, ds[0]), hyp, notes)

@@ -82,8 +82,8 @@ def spectral_radius_power(g: Graph, tol: float = 1e-12) -> float:
     Deterministic all-ones start; for symmetric A the Rayleigh error is
     bounded by the residual norm, which the stopping rule pins to tol*rho.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be positive and finite")
     return max(_component_radius(g, comp, tol) for comp in g.components())
 
 
@@ -164,7 +164,8 @@ def charpoly(m: Union[QuotientMatrix, Sequence[Sequence[int]]]) -> IntPolynomial
     return IntPolynomial(coeffs)
 
 
-def _beta(n: int, r: int) -> int:
+def beta_value(n: int, r: int) -> int:
+    """beta = floor((n-r-1)/2); h2 is h1 at q = beta."""
     return (n - r - 1) // 2
 
 
@@ -293,11 +294,11 @@ def _ph1(n: int, q: int, r: int) -> IntPolynomial:
 
 
 def _ph2(n: int, r: int) -> IntPolynomial:
-    return _ph1(n, _beta(n, r), r)
+    return _ph1(n, beta_value(n, r), r)
 
 
 def _ph3(n: int, r: int, q: int) -> IntPolynomial:
-    b = _beta(n, r)
+    b = beta_value(n, r)
     return IntPolynomial(
         [
             (b - q) * (r * r + (b + q + 1 - n) * r + b + q - n),

@@ -43,9 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .binding import (
-    _BRUTE_MAX,
     _TOUGH_MAX,
-    binding_number_bruteforce,
+    binding_number,
     binding_number_flow,
     binding_sets_all,
     toughness_bruteforce,
@@ -56,7 +55,6 @@ from .constructions import (
     RegimeReport,
     beta_value,
     family_general,
-    lemma6_extremal,
     lemma6_max,
     theorem6_regime,
 )
@@ -74,6 +72,7 @@ from .spectral import charpoly, compare_radii, family_polynomial, quotient_matri
 _BIADJ_LIMIT = 28
 _AUDIT_STRIDE = 1000
 _POOL_AUDITS = 150
+_DEFAULT_SAMPLES = 1000
 _DEFAULT_SEED = 1009
 
 PASS = "pass"
@@ -101,14 +100,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        payload = {
-            "claim_id": self.claim_id,
-            "params": dict(self.params),
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-            "counters": self.counters,
-        }
-        return json.dumps(payload, indent=2, sort_keys=False)
+        return json.dumps({**self.comparable(), "counters": self.counters}, indent=2)
 
     def to_csv(self) -> str:
         """Sweep table when present, otherwise one row of scalar counters."""
@@ -126,23 +118,21 @@ class VerificationReport:
         return out.getvalue()
 
 
-def _exact_binding(g: Graph):
-    if g.n <= _BRUTE_MAX:
-        return binding_number_bruteforce(g)
-    return binding_number_flow(g)
+def _report(
+    claim_id: str, params: dict, verdict: str, witnesses: Sequence[str], t0: float, counters: dict
+) -> VerificationReport:
+    """The report of a run started at t0; elapsed_ms is its last counter."""
+    elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return VerificationReport(
+        claim_id, params, verdict, tuple(witnesses), {**counters, "elapsed_ms": elapsed_ms}
+    )
 
 
 def _fail_report(
     claim_id: str, params: dict, g: Graph, t0: float, error: str, **where
 ) -> VerificationReport:
     """A fail verdict witnessed by g, with the error and where it arose."""
-    return VerificationReport(
-        claim_id=claim_id,
-        params=params,
-        verdict=FAIL,
-        witnesses=(graph6_encode(g),),
-        counters={"error": error, **where, "elapsed_ms": int((time.monotonic() - t0) * 1000)},
-    )
+    return _report(claim_id, params, FAIL, [graph6_encode(g)], t0, {"error": error, **where})
 
 
 def _interval_fields(iv: RootInterval) -> dict:
@@ -253,7 +243,7 @@ def _arrangements(rows: tuple[int, ...]):
 def _audit_failed(p: int, q: int, r: int, mask: int, member: bool) -> bool:
     """Exact binding, flow and the kernel's verdict disagree on one mask."""
     g = _graph_of_biadj(mask, p, q)
-    bv = _exact_binding(g).value
+    bv = binding_number(g).value
     return bv != binding_number_flow(g).value or (bv < Fraction(1, r)) != member
 
 
@@ -334,11 +324,11 @@ def enumerate_bipartite_max(p: int, q: int, r: int, threads: int = 1) -> Verific
         raise LimitError(f"scan supports p*q <= {_BIADJ_LIMIT}")
     t0 = time.monotonic()
     predicted = lemma6_max(p, q, r)
-    cons = lemma6_extremal(p, q, r)
+    cons = predicted.constructions[0]
     e0 = predicted.claimed_max
     params = {"p": p, "q": q, "r": r}
     target = Fraction(1, r)
-    cons_b = _exact_binding(cons.graph).value
+    cons_b = binding_number(cons.graph).value
     if cons_b >= target:
         return _fail_report(
             "lemma6_max", params, cons.graph, t0,
@@ -347,11 +337,9 @@ def enumerate_bipartite_max(p: int, q: int, r: int, threads: int = 1) -> Verific
     best, masks, survivors, audited, audit_bad = _run_scan(p, q, r, e0, threads)
     pred_shape = _canon_shape(_biadj_of_construction(cons, p, q), p, q)
     shapes_ok = all(_canon_shape(m, p, q) == pred_shape for m in masks)
-    winners_ok = all(
-        _exact_binding(_graph_of_biadj(m, p, q)).value < target for m in masks
-    )
+    winners_ok = all(binding_number(_graph_of_biadj(m, p, q)).value < target for m in masks)
     ok = best == e0 and shapes_ok and winners_ok and audit_bad == 0
-    witnesses = tuple(sorted(graph6_encode(_graph_of_biadj(m, p, q)) for m in masks))
+    witnesses = sorted(graph6_encode(_graph_of_biadj(m, p, q)) for m in masks)
     counters = {
         "masks_total": 1 << (p * q),
         "graphs_scanned": survivors,
@@ -364,15 +352,8 @@ def enumerate_bipartite_max(p: int, q: int, r: int, threads: int = 1) -> Verific
         "audited": audited,
         "audit_failures": audit_bad,
         "shape_matching": "degree-sorted canonical relabeling of labeled scans",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="lemma6_max",
-        params=params,
-        verdict=PASS if ok else FAIL,
-        witnesses=witnesses,
-        counters=counters,
-    )
+    return _report("lemma6_max", params, PASS if ok else FAIL, witnesses, t0, counters)
 
 
 def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> VerificationReport:
@@ -398,8 +379,8 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
         except DomainError:
             part_rows.append({"p": p, "q": q, "family": "empty"})
             continue
-        cons = lemma6_extremal(p, q, r)
-        if _exact_binding(cons.graph).value >= target:
+        cons = sub.constructions[0]
+        if binding_number(cons.graph).value >= target:
             return _fail_report(
                 "theorem6_enumeration", params, cons.graph, t0,
                 "predicted part extremal fails membership", part=[p, q],
@@ -420,15 +401,13 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
         best == regime.claimed_max and found == expected and audit_bad == 0
     )
     winners_ok = all(
-        _exact_binding(_graph_of_biadj(m, p, q)).value < target for m, p, q in winners
+        binding_number(_graph_of_biadj(m, p, q)).value < target for m, p, q in winners
     )
     if regime.hypothesis_ok:
         verdict = PASS if claims_ok and winners_ok else FAIL
     else:
         verdict = HYPOTHESIS_NOT_MET
-    witnesses = tuple(
-        sorted(graph6_encode(_graph_of_biadj(m, p, q)) for m, p, q in winners)
-    )
+    witnesses = sorted(graph6_encode(_graph_of_biadj(m, p, q)) for m, p, q in winners)
     counters = {
         "graphs_scanned": survivors,
         "max_found": best,
@@ -441,15 +420,8 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
         "audited": audited,
         "audit_failures": audit_bad,
         "shape_matching": "degree-sorted canonical relabeling of labeled scans",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="theorem6_enumeration",
-        params=params,
-        verdict=verdict,
-        witnesses=witnesses,
-        counters=counters,
-    )
+    return _report("theorem6_enumeration", params, verdict, witnesses, t0, counters)
 
 
 def _regime_shapes(regime: RegimeReport) -> set:
@@ -477,7 +449,7 @@ def _graph_from_pairmask(n: int, mask: int) -> Graph:
 
 
 def enumerate_general_properties(
-    n: int, samples: int = 1000, seed: int = _DEFAULT_SEED
+    n: int, samples: int = _DEFAULT_SAMPLES, seed: int = _DEFAULT_SEED
 ) -> VerificationReport:
     """Binding-set independence, toughness bound, isolated rule, flow agreement.
 
@@ -528,15 +500,8 @@ def enumerate_general_properties(
         "mode": "exhaustive" if exhaustive else "sampled",
         "seed": None if exhaustive else seed,
         "failures": failures,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="binding_properties",
-        params={"n": n},
-        verdict=PASS if ok else FAIL,
-        witnesses=tuple(sorted(bad)),
-        counters=counters,
-    )
+    return _report("binding_properties", {"n": n}, PASS if ok else FAIL, sorted(bad), t0, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +583,9 @@ def scan_family_general(n: int, r: int) -> VerificationReport:
         "edge_claim_asserted": hyp_edges,
         "radius_claim_asserted": hyp_radius,
         "winner_binding": str(winner_b),
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="family_general_scan",
-        params={"n": n, "r": r},
-        verdict=verdict,
-        witnesses=(graph6_encode(winner.graph),),
-        counters=counters,
-    )
+    witnesses = [graph6_encode(winner.graph)]
+    return _report("family_general_scan", {"n": n, "r": r}, verdict, witnesses, t0, counters)
 
 
 def _identity_grids():
@@ -664,55 +623,31 @@ def check_polynomial_identities(grid=None) -> VerificationReport:
     checked = {k: 0 for k in ("f3_f4_f5", "g1_g2_g3", "g5_g6_g7", "g5_g4_g8", "h1_h2_h3")}
     bad = []
 
-    for n, r, t1 in f_tuples:
-        lhs = family_polynomial("f3", n=n, r=r, t1=t1) - family_polynomial(
-            "f4", n=n, r=r
-        )
-        rhs = family_polynomial("f5", n=n, r=r, t1=t1) * (t1 - 1)
-        checked["f3_f4_f5"] += 1
+    def check(identity: str, params: tuple, lhs: IntPolynomial, rhs: IntPolynomial) -> None:
+        checked[identity] += 1
         if lhs != rhs:
-            bad.append(("f3_f4_f5", (n, r, t1)))
+            bad.append((identity, params))
 
+    for n, r, t1 in f_tuples:
+        f = functools.partial(family_polynomial, n=n, r=r)
+        check("f3_f4_f5", (n, r, t1), f("f3", t1=t1) - f("f4"), f("f5", t1=t1) * (t1 - 1))
     for p, q, r, t in g_tuples:
-        g1 = family_polynomial("g1", p=p, q=q, r=r, t=t)
-        g2 = family_polynomial("g2", p=p, q=q, r=r)
-        g3 = family_polynomial("g3", p=p, q=q, r=r, t=t)
-        checked["g1_g2_g3"] += 1
-        if g1 - g2 != g3 * (t - 1):
-            bad.append(("g1_g2_g3", (p, q, r, t)))
-        g5 = family_polynomial("g5", p=p, q=q, r=r, t=t)
-        g6 = family_polynomial("g6", p=p, q=q, r=r)
-        g7 = family_polynomial("g7", p=p, q=q, r=r, t=t)
-        checked["g5_g6_g7"] += 1
-        if g5 - g6 != g7 * (q - t - 1):
-            bad.append(("g5_g6_g7", (p, q, r, t)))
-        g4 = family_polynomial("g4", p=p, q=q, r=r)
-        g8 = family_polynomial("g8", p=p, q=q, r=r, t=t)
-        checked["g5_g4_g8"] += 1
-        if g5 - g4 != g8 * (t - 1):
-            bad.append(("g5_g4_g8", (p, q, r, t)))
-
+        g = functools.partial(family_polynomial, p=p, q=q, r=r)
+        check("g1_g2_g3", (p, q, r, t), g("g1", t=t) - g("g2"), g("g3", t=t) * (t - 1))
+        g5 = g("g5", t=t)
+        check("g5_g6_g7", (p, q, r, t), g5 - g("g6"), g("g7", t=t) * (q - t - 1))
+        check("g5_g4_g8", (p, q, r, t), g5 - g("g4"), g("g8", t=t) * (t - 1))
     for n, r, q in h_tuples:
-        h1 = family_polynomial("h1", n=n, q=q, r=r)
-        h2 = family_polynomial("h2", n=n, r=r)
-        h3 = family_polynomial("h3", n=n, r=r, q=q)
-        checked["h1_h2_h3"] += 1
-        if h1 - h2 != h3:
-            bad.append(("h1_h2_h3", (n, r, q)))
+        h = functools.partial(family_polynomial, n=n, r=r)
+        check("h1_h2_h3", (n, r, q), h("h1", q=q) - h("h2"), h("h3", q=q))
 
     counters = {
         "checked": checked,
         "total": sum(checked.values()),
         "failures": [{"identity": k, "tuple": list(t)} for k, t in bad[:32]],
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="polynomial_identities",
-        params={"grid": "default" if grid is None else "custom"},
-        verdict=PASS if not bad else FAIL,
-        witnesses=(),
-        counters=counters,
-    )
+    params = {"grid": "default" if grid is None else "custom"}
+    return _report("polynomial_identities", params, PASS if not bad else FAIL, [], t0, counters)
 
 
 def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
@@ -789,15 +724,9 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
         "case": case,
         "chain_hypothesis": chain_hyp,
         **checks,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="bipartite_family_scan",
-        params=params,
-        verdict=PASS if ok else FAIL,
-        witnesses=tuple(sorted(witness_graphs)),
-        counters=counters,
-    )
+    verdict = PASS if ok else FAIL
+    return _report("bipartite_family_scan", params, verdict, witness_graphs, t0, counters)
 
 
 def scan_lemma12(n: int, r: int) -> VerificationReport:
@@ -847,12 +776,6 @@ def scan_lemma12(n: int, r: int) -> VerificationReport:
         "argmax_q": argmax,
         "hypothesis_ok": hyp,
         "winner_binding": str(wb),
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    return VerificationReport(
-        claim_id="lemma12_scan",
-        params={"n": n, "r": r},
-        verdict=verdict,
-        witnesses=(graph6_encode(winner),),
-        counters=counters,
-    )
+    witnesses = [graph6_encode(winner)]
+    return _report("lemma12_scan", {"n": n, "r": r}, verdict, witnesses, t0, counters)

@@ -1,9 +1,11 @@
 """Command line front end: grammar, output text, exit codes."""
 
 import json
+import re
 
 import pytest
 
+import bindex.spectral as spectral
 from bindex.cli import _default_threads, _emit_report, run
 from bindex.verify import VerificationReport
 
@@ -118,6 +120,33 @@ def test_exit_two_on_malformed_graph6(capsys):
     assert run(["decode", "--g6", "B?x"]) == 2
     err = capsys.readouterr().err
     assert "byte offset" in err
+    assert run(["binding", "--g6", "A\u00e9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-ASCII" in captured.err and "byte offset 1" in captured.err
+
+
+def test_spectral_nonconvergence_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_POWER_CAP", 1)
+    assert run(["spectral", "--g6", "Bg"]) == 2
+    assert capsys.readouterr().err.startswith("error: power iteration did not converge")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "identities", "--format", "json"],
+    ["regime", "thm6", "--n", "25", "--r", "3", "--format", "json"],
+])
+def test_out_file_gets_the_stdout_bytes(argv, tmp_path, capsys):
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "out.json"
+    assert run([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    written = path.read_text(encoding="utf-8")
+    assert written.endswith("}\n")
+    # the two runs may differ in their timing counter only
+    untimed = [re.sub(r'"elapsed_ms": \d+', "", t) for t in (written, stdout)]
+    assert untimed[0] == untimed[1]
 
 
 def test_exit_two_on_usage_errors(capsys):
@@ -131,6 +160,11 @@ def test_exit_two_on_usage_errors(capsys):
     assert "28" in capsys.readouterr().err
     assert run(["binding", "--g6", "Bw", "--bogus"]) == 2
     capsys.readouterr()
+    for tol in ("inf", "nan"):
+        assert run(["spectral", "--g6", "DQw", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tolerance must be positive and finite" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

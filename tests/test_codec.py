@@ -82,6 +82,11 @@ def test_decode_errors_carry_offsets():
         graph6_decode("Bw?")
     assert ei.value.offset == 2
     assert "trailing" in str(ei.value)
+    # a lossy encoding would read "\u00e9" as "?", a valid all-zero group
+    for text, offset in (("A\u00e9", 1), ("\u00e9A", 0), ("Bw\u2013", 2)):
+        with pytest.raises(Graph6Error, match="non-ASCII") as ei:
+            graph6_decode(text)
+        assert ei.value.offset == offset
 
 
 def test_edge_list_roundtrip():
@@ -104,6 +109,8 @@ def test_edge_list_errors():
         edge_list_decode("3 1\n0 1 2\n")
     with pytest.raises(DomainError):
         edge_list_decode("x y\n")
+    with pytest.raises(DomainError, match="duplicate edge 1 0"):
+        edge_list_decode("3 2\n0 1\n1 0\n")  # one edge twice fills the header's count
 
 
 def test_load_graph_dispatch():

@@ -110,6 +110,9 @@ def test_power_iteration_tol_validation():
         spectral_radius_power(complete(3), tol=0.0)
     with pytest.raises(DomainError):
         spectral_radius_power(complete(3), tol=-1e-9)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            spectral_radius_power(complete(3), tol=tol)
 
 
 def test_power_iteration_cap(monkeypatch):
