@@ -26,7 +26,6 @@ from .constructions import (
     bipartite_extremal_K,
     double_nested_construction,
     family_general,
-    general_extremal,
     theorem6_regime,
     theorem7_regime,
 )
@@ -248,16 +247,7 @@ def _emit_report(args, rep: VerificationReport) -> int:
     elif args.format == "csv":
         _emit(args, rep.to_csv())
     else:
-        lines = [f"claim = {rep.claim_id}", f"verdict = {rep.verdict}"]
-        for key, value in rep.counters.items():
-            if isinstance(value, (list, dict)):
-                continue
-            lines.append(f"{key} = {value}")
-        if rep.witnesses:
-            lines.append("witnesses = " + " ".join(rep.witnesses[:8]))
-            if len(rep.witnesses) > 8:
-                lines.append(f"(+{len(rep.witnesses) - 8} more)")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, rep.to_text())
     return 1 if rep.verdict == "fail" else 0
 
 
@@ -316,9 +306,7 @@ def _run(args) -> int:
         return 0
     if args.cmd == "construct":
         if args.what == "general":
-            cons = general_extremal(args.n, args.r) if args.t1 == 1 else family_general(
-                args.n, args.r, args.t1
-            )
+            cons = family_general(args.n, args.r, args.t1)
         elif args.what == "bipK":
             cons = bipartite_extremal_K(args.n, args.r)
         elif args.what == "bipD":

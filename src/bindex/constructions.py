@@ -11,7 +11,7 @@ g, or certified root comparisons for the spectral variant. No floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .graph import (
     BipartitionSpec,
@@ -60,18 +60,12 @@ class RegimeReport:
     claimed_max: Union[int, RootInterval]
     extremal_descriptions: tuple[str, ...]
     hypothesis_ok: bool
-    p: Optional[int] = None
-    q: Optional[int] = None
     notes: tuple[str, ...] = ()
     constructions: tuple[Construction, ...] = ()
 
     def __post_init__(self) -> None:
         if self.regime not in _REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}")
-
-
-def _c2(m: int) -> int:
-    return m * (m - 1) // 2
 
 
 def alpha_value(n: int, r: int) -> int:
@@ -215,8 +209,6 @@ def lemma6_max(p: int, q: int, r: int) -> RegimeReport:
         claimed_max=best,
         extremal_descriptions=(ext.label,),
         hypothesis_ok=True,
-        p=p,
-        q=q,
         constructions=(ext,),
     )
 

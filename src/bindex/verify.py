@@ -6,25 +6,29 @@ never decide anything. Scans are deterministic: fixed enumeration order,
 fixed audit rule, canonically sorted witness lists. elapsed_ms is the one
 counter excluded from determinism comparisons.
 
+A biadjacency is a tuple of p row masks over q columns, from the scan
+through to the witnesses: row i is X vertex i, bit j is Y vertex p + j.
 Bipartite enumeration visits multisets of p nonzero rows, not labeled
-biadjacency masks: edge count, isolated vertices and b < 1/r do not
-change when the rows of a mask are permuted, so each multiset stands for
-its p! / prod(mult!) labeled masks, and only the maximisers are expanded
-back into their distinct arrangements (orderly generation: R. C. Read,
-"Every one a winner", 1978; B. D. McKay, "Isomorph-free exhaustive
-generation", 1998). Every multiset with an isolated vertex is dropped
-first. For the survivors, with parts
-X (p rows) and Y (q <= p columns), b < 1/r holds iff some T inside one
-side has r * |N(T)| < |T|, and one table over the subsets U of Y decides
-both sides: with c(U) = #{x in X : N(x) inside U}, the X side holds iff
-r * |U| < c(U) for some U (take U = N(T), or T = {x : N(x) inside U}),
-and the Y side iff r * (p - c(U)) < |Y - U| for some U, because
-|N(T)| = p - c(Y - T). The reduction needs the no-isolated-vertex
-filter: it is what makes |N(T)| >= 1, so sets with |T| <= r never count.
-Scans are seeded by an exact lower bound (the predicted extremal graph,
-whose membership is re-verified by full binding computation first),
-which makes the popcount-thresholded sweep exhaustive for the maximum
-and its maximizers.
+biadjacencies: edge count, isolated vertices and b < 1/r do not change
+when the rows are permuted, so each multiset stands for its
+p! / prod(mult!) labeled biadjacencies, and only the maximisers are
+expanded back into their distinct arrangements (orderly generation:
+R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
+exhaustive generation", 1998). Every multiset with an isolated vertex is
+dropped first. For the survivors, with parts X (p rows) and Y (q <= p
+columns), b < 1/r holds iff some T inside one side has r * |N(T)| < |T|,
+and one table over the subsets U of Y decides both sides: with
+c(U) = #{x in X : N(x) inside U}, the X side holds iff r * |U| < c(U)
+for some U (take U = N(T), or T = {x : N(x) inside U}), and the Y side
+iff r * (p - c(U)) < |Y - U| for some U, because |N(T)| = p - c(Y - T).
+The reduction needs the no-isolated-vertex filter: it is what makes
+|N(T)| >= 1, so sets with |T| <= r never count. Scans are seeded by an
+exact lower bound (the predicted extremal graph, whose membership is
+re-verified by full binding computation first), which makes the
+popcount-thresholded sweep exhaustive for the maximum and its
+maximizers. Every bipartite n-vertex graph without isolated vertices has
+parts (p, q) with p + q = n, so Theorem 6's scan is the union of the
+Lemma 6 part scans.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from .binding import (
 )
 from .codec import graph6_encode
 from .constructions import (
-    Construction,
-    RegimeReport,
     beta_value,
     family_general,
     lemma6_max,
@@ -103,7 +105,8 @@ class VerificationReport:
         return json.dumps({**self.comparable(), "counters": self.counters}, indent=2)
 
     def to_csv(self) -> str:
-        """Sweep table when present, otherwise one row of scalar counters."""
+        """Sweep table when present, otherwise one row of scalar counters,
+        with each dict counter flattened into name.key columns."""
         out = StringIO()
         rows = self.counters.get("sweep")
         if rows:
@@ -112,10 +115,31 @@ class VerificationReport:
             for row in rows:
                 out.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
             return out.getvalue()
-        scal = {k: v for k, v in self.counters.items() if not isinstance(v, (list, dict))}
+        scal = {}
+        for key, value in self.counters.items():
+            if isinstance(value, dict):
+                scal.update((f"{key}.{k}", v) for k, v in value.items())
+            elif not isinstance(value, list):
+                scal[key] = value
         out.write(",".join(scal.keys()) + "\n")
         out.write(",".join(str(v) for v in scal.values()) + "\n")
         return out.getvalue()
+
+    def to_text(self) -> str:
+        """One key = value line per counter, dict and list counters as one
+        line of JSON (the sweep table only in csv and json), then witnesses."""
+        lines = [f"claim = {self.claim_id}", f"verdict = {self.verdict}"]
+        for key, value in self.counters.items():
+            if isinstance(value, (list, dict)):
+                if key == "sweep":
+                    continue
+                value = json.dumps(value)
+            lines.append(f"{key} = {value}")
+        if self.witnesses:
+            lines.append("witnesses = " + " ".join(self.witnesses[:8]))
+            if len(self.witnesses) > 8:
+                lines.append(f"(+{len(self.witnesses) - 8} more)")
+        return "\n".join(lines) + "\n"
 
 
 def _report(
@@ -147,34 +171,10 @@ def _interval_fields(iv: RootInterval) -> dict:
 # biadjacency scan machinery
 
 
-def _transpose_int(mask: int, p: int, q: int) -> int:
-    out = 0
-    for i in range(p):
-        for j in range(q):
-            if mask >> (i * q + j) & 1:
-                out |= 1 << (j * p + i)
-    return out
-
-
-def _graph_of_biadj(mask: int, p: int, q: int) -> Graph:
-    edges = [
-        (i, p + j)
-        for i in range(p)
-        for j in range(q)
-        if mask >> (i * q + j) & 1
-    ]
+def _graph_of_rows(rows: Sequence[int], q: int) -> Graph:
+    p = len(rows)
+    edges = [(i, p + j) for i, row in enumerate(rows) for j in range(q) if row >> j & 1]
     return Graph.from_edges(p + q, edges)
-
-
-def _biadj_of_construction(c: Construction, p: int, q: int) -> int:
-    g = c.graph
-    if g.n != p + q:
-        raise DomainError("construction does not fit the requested parts")
-    mask = 0
-    for i in range(p):
-        row = g.adj[i] >> p
-        mask |= row << (i * q)
-    return mask
 
 
 def _survivors(rows: np.ndarray, q: int, e0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,29 +240,30 @@ def _arrangements(rows: tuple[int, ...]):
                 yield (row, *rest)
 
 
-def _audit_failed(p: int, q: int, r: int, mask: int, member: bool) -> bool:
-    """Exact binding, flow and the kernel's verdict disagree on one mask."""
-    g = _graph_of_biadj(mask, p, q)
+def _audit_failed(q: int, r: int, rows: Sequence[int], member: bool) -> bool:
+    """Exact binding, flow and the kernel's verdict disagree on one biadjacency."""
+    g = _graph_of_rows(rows, q)
     bv = binding_number(g).value
     return bv != binding_number_flow(g).value or (bv < Fraction(1, r)) != member
 
 
 def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
-    """(max, masks at max, survivors, audited, audit failures) of a p x q scan.
+    """(max, row tuples at max, survivors, audited, audit failures) of a p x q scan.
 
-    The scan covers every labeled biadjacency mask with at least e0 edges
-    and no isolated vertex, but visits each multiset of rows once: edge
-    count, isolated vertices and b < 1/r do not change when rows are
-    permuted. A multiset stands for its weight in labeled masks, and the
-    maximisers are expanded into their distinct arrangements. The audits
-    take every mask that is a multiple of _AUDIT_STRIDE and survives, so
-    they stay proportional to labeled work; with threads > 1 and at least
-    _POOL_AUDITS of them they run in a process pool, where it pays on an
-    idle 2-vCPU host (interleaved pairs: start-up 15-17 ms, an audit about
-    0.5 ms; (5,4,2)'s 117 audits tie at 61 against 60 ms, (6,4,2)'s 481
-    take 230 ms serial and 138 ms with 2 workers; a busy second CPU
-    reverses this). Worst case: (7,4,3) takes 10.6-11.0 s serial and
-    6.0 s with 2 workers, almost all of it its 19589 audits.
+    The scan covers every labeled biadjacency with at least e0 edges and no
+    isolated vertex, but visits each multiset of rows once: edge count,
+    isolated vertices and b < 1/r do not change when rows are permuted. A
+    multiset stands for its weight in labeled biadjacencies, and the
+    maximisers are the distinct arrangements of the best multisets. The
+    audits take every labeled mask sum(row_i << (q * i)) that is a multiple
+    of _AUDIT_STRIDE and survives, so they stay proportional to labeled
+    work; with threads > 1 and at least _POOL_AUDITS of them they run in a
+    process pool, where it pays on an idle 2-vCPU host (interleaved pairs:
+    start-up 15-17 ms, an audit about 0.5 ms; (5,4,2)'s 117 audits tie at
+    61 against 60 ms, (6,4,2)'s 481 take 230 ms serial and 138 ms with 2
+    workers; a busy second CPU reverses this). Worst case: (7,4,3) takes
+    10.6-11.0 s serial and 6.0 s with 2 workers, almost all of it its 19589
+    audits.
     """
     rows = _multisets(p, q)
     keep, edges = _survivors(rows, q, e0)
@@ -270,46 +271,62 @@ def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
     survivors = int(_weights(rows).sum())
     member = _member(rows, p, q, r)
     best = int(edges[member].max(initial=-1))
-    masks = sorted(
-        sum(row << (q * i) for i, row in enumerate(arr))
-        for col in rows[:, member & (edges == best)].T.tolist()
-        for arr in _arrangements(tuple(col))
-    )
+    cols = rows[:, member & (edges == best)].T.tolist()
+    winners = [arr for col in cols for arr in _arrangements(tuple(col))]
     audit = np.arange(0, 1 << (p * q), _AUDIT_STRIDE, dtype=np.uint64)
     shifts = np.arange(0, p * q, q, dtype=np.uint64)[:, None]
     arows = (audit >> shifts & np.uint64((1 << q) - 1)).astype(np.uint8)
-    keep = _survivors(arows, q, e0)[0]
-    audit_masks = audit[keep].tolist()
-    member = _member(arows[:, keep], p, q, r).tolist()
-    failed = functools.partial(_audit_failed, p, q, r)
-    if threads > 1 and len(audit_masks) >= _POOL_AUDITS:
+    arows = arows[:, _survivors(arows, q, e0)[0]]
+    audit_rows = arows.T.tolist()
+    member = _member(arows, p, q, r).tolist()
+    failed = functools.partial(_audit_failed, q, r)
+    if threads > 1 and len(audit_rows) >= _POOL_AUDITS:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = -(-len(audit_masks) // (4 * threads))
-            audit_bad = sum(pool.map(failed, audit_masks, member, chunksize=chunk))
+            chunk = -(-len(audit_rows) // (4 * threads))
+            audit_bad = sum(pool.map(failed, audit_rows, member, chunksize=chunk))
     else:
-        audit_bad = sum(map(failed, audit_masks, member))
-    return best, masks, survivors, len(audit_masks), audit_bad
+        audit_bad = sum(map(failed, audit_rows, member))
+    return best, winners, survivors, len(audit_rows), audit_bad
 
 
-def _canon_biadj(mask: int, p: int, q: int) -> tuple:
-    rows = [(mask >> (q * i)) & ((1 << q) - 1) for i in range(p)]
-    coldeg = [sum(row >> j & 1 for row in rows) for j in range(q)]
-    order = sorted(range(q), key=lambda j: (-coldeg[j], j))
-    relab = []
-    for row in rows:
-        v = 0
-        for newj, oldj in enumerate(order):
-            v |= (row >> oldj & 1) << newj
-        relab.append(v)
-    relab.sort(key=lambda v: (-v.bit_count(), v))
-    return (p, q, tuple(relab))
-
-
-def _canon_shape(mask: int, p: int, q: int) -> tuple:
-    c = _canon_biadj(mask, p, q)
+def _shape(rows: Sequence[int], q: int) -> tuple:
+    """Maximisers match constructions by this key: columns relabeled by
+    degree, then rows sorted by degree; when p == q, also the transpose's,
+    and the least of the two."""
+    p = len(rows)
+    views = [rows]
     if p == q:
-        return min(c, _canon_biadj(_transpose_int(mask, p, q), q, p))
-    return c
+        views.append([sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(q)])
+    keys = []
+    for view in views:
+        coldeg = [sum(row >> j & 1 for row in view) for j in range(q)]
+        order = sorted(range(q), key=lambda j: (-coldeg[j], j))
+        relab = [sum((row >> old & 1) << new for new, old in enumerate(order)) for row in view]
+        keys.append((p, q, tuple(sorted(relab, key=lambda v: (-v.bit_count(), v)))))
+    return min(keys)
+
+
+def _scan_part(p: int, q: int, r: int, threads: int):
+    """(claim, b, scan) for parts (p, q): claim = lemma6_max(p, q, r), b the
+    binding number of its construction, and scan what _run_scan returns at
+    the claimed maximum, or None when the construction is no member."""
+    claim = lemma6_max(p, q, r)
+    b = binding_number(claim.constructions[0].graph).value
+    scan = _run_scan(p, q, r, claim.claimed_max, threads) if b < Fraction(1, r) else None
+    return claim, b, scan
+
+
+def _maximisers(n: int, r: int, winners, constructions) -> tuple[bool, bool, list[str]]:
+    """(shapes equal the constructions', all are members, sorted graph6) of
+    n-vertex row tuples. A construction's X side is labeled first."""
+    graphs = [_graph_of_rows(rows, n - len(rows)) for rows in winners]
+    found = {_shape(rows, n - len(rows)) for rows in winners}
+    expected = set()
+    for cons in constructions:
+        p = cons.graph.bipartition()[0].bit_count()
+        expected.add(_shape([cons.graph.adj[i] >> p for i in range(p)], n - p))
+    members = all(binding_number(g).value < Fraction(1, r) for g in graphs)
+    return found == expected, members, sorted(graph6_encode(g) for g in graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +340,26 @@ def enumerate_bipartite_max(p: int, q: int, r: int, threads: int = 1) -> Verific
     if p * q > _BIADJ_LIMIT:
         raise LimitError(f"scan supports p*q <= {_BIADJ_LIMIT}")
     t0 = time.monotonic()
-    predicted = lemma6_max(p, q, r)
-    cons = predicted.constructions[0]
-    e0 = predicted.claimed_max
     params = {"p": p, "q": q, "r": r}
-    target = Fraction(1, r)
-    cons_b = binding_number(cons.graph).value
-    if cons_b >= target:
+    claim, cons_b, scan = _scan_part(p, q, r, threads)
+    if scan is None:
         return _fail_report(
-            "lemma6_max", params, cons.graph, t0,
+            "lemma6_max", params, claim.constructions[0].graph, t0,
             "predicted extremal graph fails its own membership", binding=str(cons_b),
         )
-    best, masks, survivors, audited, audit_bad = _run_scan(p, q, r, e0, threads)
-    pred_shape = _canon_shape(_biadj_of_construction(cons, p, q), p, q)
-    shapes_ok = all(_canon_shape(m, p, q) == pred_shape for m in masks)
-    winners_ok = all(binding_number(_graph_of_biadj(m, p, q)).value < target for m in masks)
+    best, winners, survivors, audited, audit_bad = scan
+    e0 = claim.claimed_max
+    shapes_ok, winners_ok, witnesses = _maximisers(p + q, r, winners, claim.constructions)
     ok = best == e0 and shapes_ok and winners_ok and audit_bad == 0
-    witnesses = sorted(graph6_encode(_graph_of_biadj(m, p, q)) for m in masks)
     counters = {
         "masks_total": 1 << (p * q),
         "graphs_scanned": survivors,
         "edge_threshold": e0,
         "max_found": best,
         "claimed_max": e0,
-        "maximizer_count": len(masks),
-        "predicted_extremal": cons.label,
-        "regime": predicted.regime,
+        "maximizer_count": len(winners),
+        "predicted_extremal": claim.extremal_descriptions[0],
+        "regime": claim.regime,
         "audited": audited,
         "audit_failures": audit_bad,
         "shape_matching": "degree-sorted canonical relabeling of labeled scans",
@@ -357,57 +368,41 @@ def enumerate_bipartite_max(p: int, q: int, r: int, threads: int = 1) -> Verific
 
 
 def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> VerificationReport:
-    """Union of part scans versus the regime dispatch for n vertices."""
+    """Union of the Lemma 6 part scans over p + q = n versus the regime dispatch."""
     if n > 10:
         raise LimitError("theorem-level enumeration supports n <= 10")
-    if r < 1:
-        raise DomainError("r must be at least 1")
-    if n < r + 3:
-        raise DomainError("need n >= r + 3")
     t0 = time.monotonic()
     regime = theorem6_regime(n, r)
     params = {"n": n, "r": r}
-    target = Fraction(1, r)
     best = -1
-    winners: list[tuple[int, int, int]] = []
+    winners: list[tuple[int, ...]] = []
     survivors = audited = audit_bad = 0
     part_rows = []
     for q in range(1, n // 2 + 1):
         p = n - q
         try:
-            sub = lemma6_max(p, q, r)
+            claim, _, scan = _scan_part(p, q, r, threads)
         except DomainError:
             part_rows.append({"p": p, "q": q, "family": "empty"})
             continue
-        cons = sub.constructions[0]
-        if binding_number(cons.graph).value >= target:
+        if scan is None:
             return _fail_report(
-                "theorem6_enumeration", params, cons.graph, t0,
+                "theorem6_enumeration", params, claim.constructions[0].graph, t0,
                 "predicted part extremal fails membership", part=[p, q],
             )
-        b, masks, sv, au, ab = _run_scan(p, q, r, sub.claimed_max, threads)
+        b, rows, sv, au, ab = scan
         survivors += sv
         audited += au
         audit_bad += ab
         part_rows.append({"p": p, "q": q, "family": "scanned", "max": b})
         if b > best:
             best = b
-            winners = [(m, p, q) for m in masks]
+            winners = rows
         elif b == best and b >= 0:
-            winners.extend((m, p, q) for m in masks)
-    expected = _regime_shapes(regime)
-    found = {_canon_shape(m, p, q) for m, p, q in winners}
-    claims_ok = (
-        best == regime.claimed_max and found == expected and audit_bad == 0
-    )
-    winners_ok = all(
-        binding_number(_graph_of_biadj(m, p, q)).value < target for m, p, q in winners
-    )
-    if regime.hypothesis_ok:
-        verdict = PASS if claims_ok and winners_ok else FAIL
-    else:
-        verdict = HYPOTHESIS_NOT_MET
-    witnesses = sorted(graph6_encode(_graph_of_biadj(m, p, q)) for m, p, q in winners)
+            winners.extend(rows)
+    shapes_ok, winners_ok, witnesses = _maximisers(n, r, winners, regime.constructions)
+    ok = best == regime.claimed_max and shapes_ok and winners_ok and audit_bad == 0
+    verdict = (PASS if ok else FAIL) if regime.hypothesis_ok else HYPOTHESIS_NOT_MET
     counters = {
         "graphs_scanned": survivors,
         "max_found": best,
@@ -416,21 +411,12 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
         "predicted_extremals": list(regime.extremal_descriptions),
         "maximizer_count": len(winners),
         "parts": part_rows,
-        "shapes_match": found == expected,
+        "shapes_match": shapes_ok,
         "audited": audited,
         "audit_failures": audit_bad,
         "shape_matching": "degree-sorted canonical relabeling of labeled scans",
     }
     return _report("theorem6_enumeration", params, verdict, witnesses, t0, counters)
-
-
-def _regime_shapes(regime: RegimeReport) -> set:
-    shapes = set()
-    for cons in regime.constructions:
-        p = cons.graph.bipartition()[0].bit_count()
-        q = cons.graph.n - p
-        shapes.add(_canon_shape(_biadj_of_construction(cons, p, q), p, q))
-    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +439,17 @@ def enumerate_general_properties(
 ) -> VerificationReport:
     """Binding-set independence, toughness bound, isolated rule, flow agreement.
 
-    One subset table per graph: b is read from its first binding set.
+    Every graph for n <= 6 (samples is ignored), else samples >= 1 seeded
+    random graphs. One subset table per graph: b is read from its first
+    binding set.
     """
     if n > _TOUGH_MAX:
         raise LimitError(f"property sweep capped at n <= {_TOUGH_MAX} (toughness brute force)")
+    exhaustive = n <= 6
+    if not exhaustive and samples < 1:
+        raise DomainError("a sampled sweep (n > 6) needs samples >= 1")
     t0 = time.monotonic()
     pairs = n * (n - 1) // 2
-    exhaustive = n <= 6
     if exhaustive:
         masks = range(1 << pairs)
     else:

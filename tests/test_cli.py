@@ -2,10 +2,12 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 import bindex.spectral as spectral
+import bindex.verify as verify
 from bindex.cli import _default_threads, _emit_report, run
 from bindex.verify import VerificationReport
 
@@ -100,11 +102,42 @@ def test_verify_identities(capsys):
     assert run(["verify", "identities"]) == 0
     out = capsys.readouterr().out
     assert "verdict = pass" in out
+    # nested counters print as one line of JSON each, in counter order
+    lines = out.splitlines()
+    assert lines[2] == (
+        'checked = {"f3_f4_f5": 741, "g1_g2_g3": 1324, "g5_g6_g7": 1324, '
+        '"g5_g4_g8": 1324, "h1_h2_h3": 878}'
+    )
+    assert lines[3:5] == ["total = 5591", "failures = []"]
+    assert run(["verify", "identities", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == (
+        "checked.f3_f4_f5,checked.g1_g2_g3,checked.g5_g6_g7,checked.g5_g4_g8,"
+        "checked.h1_h2_h3,total,elapsed_ms"
+    )
+    assert row.startswith("741,1324,1324,1324,878,5591,")
 
 
-def test_verify_properties(capsys):
+def test_verify_properties(capsys, monkeypatch):
     assert run(["verify", "properties", "--n", "4"]) == 0
-    assert "verdict = pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verdict = pass" in out
+    assert 'failures = {"independence": 0, "toughness": 0, "isolated": 0, "flow": 0}\n' in out
+    assert run(["verify", "properties", "--n", "4", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == (
+        "graphs_scanned,mode,seed,failures.independence,failures.toughness,"
+        "failures.isolated,failures.flow,elapsed_ms"
+    )
+    assert row.startswith("64,exhaustive,None,0,0,0,0,")
+    # a failing sweep names the failed property outside json as well
+    monkeypatch.setattr(verify, "toughness_bruteforce", lambda g: Fraction(9))
+    assert run(["verify", "properties", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict = fail" in out
+    assert re.search(r'^failures = \{"independence": 0, "toughness": [1-9]\d*, ', out, re.M)
+    assert run(["verify", "properties", "--n", "4", "--format", "csv"]) == 1
+    assert re.match(r"64,exhaustive,None,0,[1-9]\d*,0,0,", capsys.readouterr().out.splitlines()[1])
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bindex.verify as verify
-from bindex.binding import binding_number_bruteforce, binding_number_flow
+from bindex.binding import BindingResult, binding_number_bruteforce, binding_number_flow
 from bindex.cli import run
 from bindex.codec import graph6_decode
 from bindex.constructions import lemma6_max
@@ -19,11 +19,11 @@ from bindex.polynomials import IntPolynomial
 from bindex.verify import (
     VerificationReport,
     _arrangements,
-    _graph_of_biadj,
+    _graph_of_rows,
+    _maximisers,
     _member,
     _multisets,
     _run_scan,
-    _transpose_int,
     _weights,
     check_polynomial_identities,
     enumerate_bipartite_max,
@@ -116,6 +116,14 @@ def _rows_of(m, p, q):
     return [(m >> (q * i)) & ((1 << q) - 1) for i in range(p)]
 
 
+def _mask_of(rows, q):
+    return sum(row << (q * i) for i, row in enumerate(rows))
+
+
+def _graph_of_mask(m, p, q):
+    return _graph_of_rows(_rows_of(m, p, q), q)
+
+
 def _row_array(ms, p, q):
     """The p x N uint8 row array of uint64 masks that _member takes."""
     full = np.uint64((1 << q) - 1)
@@ -145,15 +153,15 @@ def _labeled_scan(p, q, r, e0):
     audited = audit_bad = 0
     for idx in np.nonzero(ms % np.uint64(1000) == 0)[0].tolist():
         audited += 1
-        g = _graph_of_biadj(int(ms[idx]), p, q)
+        g = _graph_of_mask(int(ms[idx]), p, q)
         bv = binding_number_bruteforce(g).value
         if bv != binding_number_flow(g).value or (bv < Fraction(1, r)) != bool(member[idx]):
             audit_bad += 1
     members = ms[member]
     counts = np.bitwise_count(members).astype(np.int64)
     best = int(counts.max(initial=-1))
-    masks = sorted(int(m) for m in members[counts == best])
-    return best, masks, int(ms.size), audited, audit_bad
+    winners = sorted(tuple(_rows_of(int(m), p, q)) for m in members[counts == best])
+    return best, winners, int(ms.size), audited, audit_bad
 
 
 _SHAPES_20 = [(p, q) for q in range(1, 5) for p in range(q, 21) if p * q <= 20]
@@ -167,7 +175,8 @@ def test_multiset_scan_matches_labeled_scan(p, q):
         except DomainError:
             e0s = [0]
         for e0 in e0s:
-            assert _run_scan(p, q, r, e0, 1) == _labeled_scan(p, q, r, e0), (r, e0)
+            best, winners, *counts = _run_scan(p, q, r, e0, 1)
+            assert (best, sorted(winners), *counts) == _labeled_scan(p, q, r, e0), (r, e0)
 
 
 @pytest.mark.parametrize("p,q", [(3, 3), (4, 3), (6, 2), (4, 4), (3, 5), (14, 1)])
@@ -184,11 +193,23 @@ def test_multiset_weights_count_distinct_arrangements(p, q):
 
 @pytest.mark.parametrize("p,q,r", [(5, 3, 2), (4, 4, 1), (8, 3, 3), (7, 4, 2), (14, 2, 1)])
 def test_maximiser_weights_sum_to_the_masks(p, q, r):
-    best, masks, *_ = _run_scan(p, q, r, lemma6_max(p, q, r).claimed_max, 1)
-    assert len(set(masks)) == len(masks) > 0
-    multisets = {tuple(sorted(_rows_of(m, p, q))) for m in masks}
+    best, winners, *_ = _run_scan(p, q, r, lemma6_max(p, q, r).claimed_max, 1)
+    assert len(set(winners)) == len(winners) > 0
+    assert all(len(rows) == p for rows in winners)
+    multisets = {tuple(sorted(rows)) for rows in winners}
     cols = np.array(sorted(multisets), dtype=np.uint8).T
-    assert int(_weights(cols).sum()) == len(masks)
+    assert int(_weights(cols).sum()) == len(winners)
+
+
+def test_maximisers_check_shapes_and_members():
+    _, winners, *_ = _run_scan(5, 3, 2, 9, 1)
+    report = enumerate_bipartite_max(5, 3, 2)
+    claim = lemma6_max(5, 3, 2)
+    assert _maximisers(8, 2, winners, claim.constructions) == (True, True, list(report.witnesses))
+    # K(6,2), the (6, 2) part's extremal graph, has another shape
+    assert _maximisers(8, 2, winners, lemma6_max(6, 2, 2).constructions)[:2] == (False, True)
+    # K(5,3) has b = 3/5, no member for r = 2
+    assert _maximisers(8, 2, [(7,) * 5], claim.constructions)[:2] == (False, False)
 
 
 # (sha256 of json.dumps(comparable(), sort_keys=True), sha256 of
@@ -196,6 +217,9 @@ def test_maximiser_weights_sum_to_the_masks(p, q, r):
 # counter order that the text and csv formats print. The lemma6 and thm6
 # content digests were computed with the labeled chunk scan that the
 # multiset scan replaced, the rest before verify._report assembled reports.
+# thm6 (8, 3) has an empty part; the *_unfit cases are the fail reports of a
+# predicted extremal graph that is no member, pinned before the two
+# enumerators shared one part scan.
 _PINNED = {
     ("lemma6", 7, 2, 3): (
         "24bbf95270d5d524e7d6372a3f61280ce7e25506badf0bbe1ab61a09047d8714",
@@ -233,6 +257,18 @@ _PINNED = {
         "e5a0acdaa2dd6f26ebc811a32dda719dd7e6fc032f6a2ee6387d5ff92f2275b3",
         "f0a1838b26d8a8649515e9f1174688b6c033eff098ffe9361d0084d13a253bbe",
     ),
+    ("thm6", 8, 3): (
+        "d304d1beb8b82bbbcfc7216eb0baac1b34091398f6929f058d06bebe61333620",
+        "f0a1838b26d8a8649515e9f1174688b6c033eff098ffe9361d0084d13a253bbe",
+    ),
+    ("lemma6_unfit", 5, 3, 2): (
+        "46f60efa404d08aee6cf56be86861e4be49f4dad90ecdced45f703f70b6eeb97",
+        "8fc33f9e37ecf23a5ef1193f14be84a70e3e7682c0eb022ce2b1feea5c4491d3",
+    ),
+    ("thm6_unfit", 7, 2): (
+        "cffa6be62d6275c4faf515d2d3743cf145d3546ccb7d30611ee9c8815fd28dfa",
+        "f35c59430f42fe4b2dbc7ddf0374f508c6245baad4e53fa4311e3c4fe9388ea9",
+    ),
     ("family", 16, 1): (
         "6081d33fd3fa48e7df79654826c6104f11a77168ff73132c88fb957ca2c4664f",
         "ee6db778f22383e3fd127969c80e623af4584cfdb65f301a0fa82d7812feee10",
@@ -265,6 +301,8 @@ _PINNED = {
 _PINNED_RUNS = {
     "lemma6": enumerate_bipartite_max,
     "thm6": enumerate_bipartite_theorem6,
+    "lemma6_unfit": enumerate_bipartite_max,
+    "thm6_unfit": enumerate_bipartite_theorem6,
     "family": scan_family_general,
     "bipfamily": scan_bipartite_family,
     "lemma12": scan_lemma12,
@@ -279,6 +317,9 @@ def test_scan_reports_match_pinned_digests(case, monkeypatch):
     kind, *args = case
     if kind == "wrong_transcription":
         monkeypatch.setattr(verify, "family_polynomial", lambda name, **params: IntPolynomial((1, 1)))
+    if kind.endswith("_unfit"):
+        # every graph reads b = 1, so the predicted extremal graph is no member
+        monkeypatch.setattr(verify, "binding_number", lambda g: BindingResult(Fraction(1), 1, "stub"))
     rep = _PINNED_RUNS[kind](*args)
     content = json.dumps(rep.comparable(), sort_keys=True)
     order = json.dumps(list(rep.counters))
@@ -289,7 +330,7 @@ def test_scan_reports_match_pinned_digests(case, monkeypatch):
 def test_member_kernel_matches_exact_binding(p, q):
     masks = [m for m in range(1 << (p * q)) if _no_isolated_vertex(m, p, q)]
     ms = _row_array(np.array(masks, dtype=np.uint64), p, q)
-    values = [binding_number_bruteforce(_graph_of_biadj(m, p, q)).value for m in masks]
+    values = [binding_number_bruteforce(_graph_of_mask(m, p, q)).value for m in masks]
     for r in (1, 2, 3):
         want = [v < Fraction(1, r) for v in values]
         assert _member(ms, p, q, r).tolist() == want, r
@@ -312,11 +353,11 @@ def test_member_kernel_matches_flow_on_samples(p, q, rs):
             | sum(1 << j for j in range(q) if rng.random() < density)
             for _ in range(p)
         ]
-        m = sum(row << (q * i) for i, row in enumerate(rows))
+        m = _mask_of(rows, q)
         if _no_isolated_vertex(m, p, q):
             masks.append(m)
     ms = _row_array(np.array(masks, dtype=np.uint64), p, q)
-    values = [binding_number_flow(_graph_of_biadj(m, p, q)).value for m in masks]
+    values = [binding_number_flow(_graph_of_mask(m, p, q)).value for m in masks]
     seen = set()
     for r in rs:
         want = [v < Fraction(1, r) for v in values]
@@ -331,9 +372,9 @@ def test_member_kernel_needs_the_y_side():
     # T = {y0, y1, y2} has 2 * |N(T)| < |T|, and no set of rows does. Within
     # the scan limit p * q <= 28, only (5, 5, 2) has such Y-side-only members.
     rows = [0b00111, 0b01000, 0b01000, 0b10000, 0b10000]
-    m = sum(row << (5 * i) for i, row in enumerate(rows))
-    assert binding_number_bruteforce(_graph_of_biadj(m, 5, 5)).value == Fraction(1, 3)
-    ms = _row_array(np.array([m, _transpose_int(m, 5, 5)], dtype=np.uint64), 5, 5)
+    cols = [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(5)]
+    assert binding_number_bruteforce(_graph_of_rows(rows, 5)).value == Fraction(1, 3)
+    ms = _row_array(np.array([_mask_of(rows, 5), _mask_of(cols, 5)], dtype=np.uint64), 5, 5)
     assert _member(ms, 5, 5, 2).tolist() == [True, True]
     assert _member(ms, 5, 5, 3).tolist() == [False, False]
 
@@ -396,6 +437,16 @@ def test_general_properties_capped_at_the_toughness_limit(capsys):
             enumerate_general_properties(n, samples=10)
     assert run(["verify", "properties", "--n", "17", "--samples", "300"]) == 2
     assert "n <= 16" in capsys.readouterr().err
+
+
+def test_general_properties_sampled_needs_samples(capsys):
+    for samples in (0, -3):
+        with pytest.raises(DomainError, match="samples >= 1"):
+            enumerate_general_properties(7, samples=samples)
+        assert run(["verify", "properties", "--n", "7", "--samples", str(samples)]) == 2
+        assert "samples >= 1" in capsys.readouterr().err
+    # n <= 6 sweeps every graph and ignores samples
+    assert enumerate_general_properties(4, samples=0).counters["graphs_scanned"] == 64
 
 
 def test_general_properties_sampled_ten():
