@@ -318,6 +318,14 @@ def binding_below_threshold(
     Witnesses are aggregated over the sets by minimum ratio with the
     (size, lex) tie-break of _better, a strict total order, so the
     visiting order does not change the answer.
+
+    When t <= 1 and the first set decided by a flow answers no before any
+    set has answered yes, one more flow, warm from the last, allows every
+    vertex. If it saturates, no S at all has ratio < t: the answer is no.
+    At t <= 1 the converse holds too, as a set with N(S) = V has ratio
+    n/|S| >= 1 >= t, so a no costs two flows, not one per set visited.
+    Above 1 it never saturates (S = V has ratio 1). Running it only after
+    a first no spares the first rounds at t = 1 that answer yes at once.
     """
     t = Fraction(t)
     if t <= 0:
@@ -340,6 +348,8 @@ def binding_below_threshold(
             if net is None:
                 net = _ThresholdNetwork(g, a, c)
             smask = net.witness(sub)
+            if a <= c and not (smask or refused or best) and not net.witness(full):
+                return False, None
         if not smask:
             refused.append(sub)
             continue

@@ -120,13 +120,18 @@ def quotient_matrix(g: Graph, partition: Sequence[int]) -> QuotientMatrix:
         raise DomainError("partition does not cover all vertices")
     rows = []
     for i, block in enumerate(partition):
-        first = (block & -block).bit_length() - 1
-        counts = [(g.adj[first] & other).bit_count() for other in partition]
-        rest = block & (block - 1)
+        first_bit = block & -block
+        first = first_bit.bit_length() - 1
+        nb_first = g.adj[first]
+        counts = [(nb_first & other).bit_count() for other in partition]
+        rest = block ^ first_bit
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
+            # an open or closed twin of first has first's count in every block
+            if g.adj[v] == nb_first or g.adj[v] | low == nb_first | first_bit:
+                continue
             for j, other in enumerate(partition):
                 got = (g.adj[v] & other).bit_count()
                 if got != counts[j]:

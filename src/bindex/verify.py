@@ -171,10 +171,21 @@ def _interval_fields(iv: RootInterval) -> dict:
 # biadjacency scan machinery
 
 
+def _columns(rows: Sequence[int], q: int) -> list[int]:
+    """The q columns of a biadjacency as masks over its rows."""
+    cols = [0] * q
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
+
+
 def _graph_of_rows(rows: Sequence[int], q: int) -> Graph:
+    """X vertex i sees Y vertex p + j when bit j of row i is set."""
     p = len(rows)
-    edges = [(i, p + j) for i, row in enumerate(rows) for j in range(q) if row >> j & 1]
-    return Graph.from_edges(p + q, edges)
+    return Graph._trusted(p + q, [row << p for row in rows] + _columns(rows, q))
 
 
 def _survivors(rows: np.ndarray, q: int, e0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,20 +301,33 @@ def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
 
 
 def _shape(rows: Sequence[int], q: int) -> tuple:
-    """Maximisers match constructions by this key: columns relabeled by
-    degree, then rows sorted by degree; when p == q, also the transpose's,
-    and the least of the two."""
+    """Canonical form of a p x q biadjacency: equal for two biadjacencies
+    exactly when rows and columns can be permuted (and, when p == q, the
+    sides swapped) to turn one into the other.
+
+    Columns go in descending degree; within a degree every ordering of the
+    distinct columns is tried (identical columns are merged, since
+    swapping them changes nothing), and the key is the least of the
+    relabeled row lists sorted by (-degree, row). When p == q the
+    transpose competes too. The orderings of a degree class do not depend
+    on how the input was labeled, so neither does their least key; at
+    q <= 5 there are at most 5! of them per view.
+    """
     p = len(rows)
-    views = [rows]
+    views = [_columns(rows, q)]
     if p == q:
-        views.append([sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(q)])
-    keys = []
+        views.append(rows)  # the columns of the transpose
+    best = None
     for view in views:
-        coldeg = [sum(row >> j & 1 for row in view) for j in range(q)]
-        order = sorted(range(q), key=lambda j: (-coldeg[j], j))
-        relab = [sum((row >> old & 1) << new for new, old in enumerate(order)) for row in view]
-        keys.append((p, q, tuple(sorted(relab, key=lambda v: (-v.bit_count(), v)))))
-    return min(keys)
+        cols = sorted(view)
+        degrees = sorted({col.bit_count() for col in cols}, reverse=True)
+        classes = [_arrangements(tuple(c for c in cols if c.bit_count() == d)) for d in degrees]
+        for order in itertools.product(*classes):
+            flat = [col for cls in order for col in cls]
+            relab = sorted(_columns(flat, p), key=lambda v: (-v.bit_count(), v))
+            if best is None or relab < best:
+                best = relab
+    return (p, q, tuple(best))
 
 
 def _scan_part(p: int, q: int, r: int, threads: int):
@@ -318,15 +342,24 @@ def _scan_part(p: int, q: int, r: int, threads: int):
 
 def _maximisers(n: int, r: int, winners, constructions) -> tuple[bool, bool, list[str]]:
     """(shapes equal the constructions', all are members, sorted graph6) of
-    n-vertex row tuples. A construction's X side is labeled first."""
-    graphs = [_graph_of_rows(rows, n - len(rows)) for rows in winners]
-    found = {_shape(rows, n - len(rows)) for rows in winners}
+    n-vertex row tuples. A construction's X side is labeled first.
+
+    The shape key and b are the same for every arrangement of one multiset
+    of rows, so both are computed once per multiset (its sorted tuple);
+    only the graph6 witnesses are per arrangement.
+    """
+    multisets = {tuple(sorted(rows)) for rows in winners}
+    found = {_shape(rows, n - len(rows)) for rows in multisets}
     expected = set()
     for cons in constructions:
         p = cons.graph.bipartition()[0].bit_count()
         expected.add(_shape([cons.graph.adj[i] >> p for i in range(p)], n - p))
-    members = all(binding_number(g).value < Fraction(1, r) for g in graphs)
-    return found == expected, members, sorted(graph6_encode(g) for g in graphs)
+    members = all(
+        binding_number(_graph_of_rows(rows, n - len(rows))).value < Fraction(1, r)
+        for rows in multisets
+    )
+    witnesses = sorted(graph6_encode(_graph_of_rows(rows, n - len(rows))) for rows in winners)
+    return found == expected, members, witnesses
 
 
 # ---------------------------------------------------------------------------

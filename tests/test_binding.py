@@ -283,6 +283,30 @@ def test_threshold_witness_matches_subset_oracle():
     assert 600 < yes < 1400
 
 
+def test_threshold_at_most_one_matches_subset_oracle():
+    # at t <= 1 a no is decided by one flow over every vertex: t = b(G)
+    # answers no and t just above b(G) yes; bipartite G has b(G) <= 1
+    rng = random.Random(2284)
+    no = yes = 0
+    for _ in range(300):
+        n = rng.randint(2, 11)
+        if rng.random() < 0.5:
+            g = _random_graph(rng, n, rng.uniform(0.15, 0.8))
+        else:
+            p = rng.randint(1, n - 1)
+            edges = [(x, y) for x in range(p) for y in range(p, n) if rng.random() < 0.6]
+            g = Graph.from_edges(n, edges)
+        b = binding_number_bruteforce(g).value
+        if b == 0:
+            continue
+        for t in {min(b, Fraction(1)), min(b + Fraction(1, n * n), Fraction(1)), Fraction(1, n)}:
+            got = binding_below_threshold(g, t)
+            assert got == _threshold_oracle(g, t), (n, g.adj, t)
+            no += not got[0]
+            yes += got[0]
+    assert no > 250 and yes > 40
+
+
 # (n, p, b(G), witness) from binding_number_flow on G(n, p) drawn by
 # _random_graph(random.Random(7000 + i), n, p) for n = 25 + i; sizes past
 # the brute-force cap, where the CLI prints the flow witness

@@ -137,6 +137,67 @@ def test_quotient_matrix():
     assert m.entries == ((0, 0, 1, 2), (0, 0, 1, 0), (2, 3, 0, 0), (2, 0, 0, 0))
 
 
+def _naive_quotient(g, partition):
+    """Entries, or the error text naming the first offender, by counting
+    every vertex's neighbours in every block."""
+    rows = []
+    for i, block in enumerate(partition):
+        first, *rest = vertices_of(block)
+        counts = [(g.adj[first] & other).bit_count() for other in partition]
+        for v in rest:
+            for j, other in enumerate(partition):
+                got = (g.adj[v] & other).bit_count()
+                if got != counts[j]:
+                    return (
+                        f"vertex {v} has {got} neighbors in block {j}, "
+                        f"expected {counts[j]} from block {i}"
+                    )
+        rows.append(tuple(counts))
+    return tuple(rows)
+
+
+def test_quotient_matrix_matches_a_naive_count():
+    # blow-ups of random graphs: each class is independent (open twins) or
+    # a clique (closed twins), so the classes are equitable, and so are the
+    # parts of a split class; a merge or a flipped edge often is not
+    rng = random.Random(4401)
+    equitable = 0
+    for _ in range(400):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+        n = sum(sizes)
+        label = rng.sample(range(n), n)
+        classes, start = [], 0
+        for s in sizes:
+            classes.append([label[v] for v in range(start, start + s)])
+            start += s
+        edges = set()
+        for a, ca in enumerate(classes):
+            for b in range(a):
+                if rng.random() < 0.5:
+                    edges.update((min(u, v), max(u, v)) for u in ca for v in classes[b])
+            if rng.random() < 0.5:
+                edges.update((u, v) for u in ca for v in ca if u < v)
+        if n > 1 and rng.random() < 0.3:
+            edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        g = Graph.from_edges(n, edges)
+        blocks = [sum(1 << v for v in c) for c in classes]
+        move = rng.random()
+        if move < 0.3 and len(blocks) > 1:
+            blocks[0] |= blocks.pop()
+        elif move < 0.6 and blocks[0].bit_count() > 1:
+            low = blocks[0] & -blocks[0]
+            blocks[0] ^= low
+            blocks.append(low)
+        want = _naive_quotient(g, blocks)
+        try:
+            got = quotient_matrix(g, blocks).entries
+        except EquitabilityError as exc:
+            got = str(exc)
+        assert got == want, (n, g.adj, blocks)
+        equitable += isinstance(want, tuple)
+    assert 150 < equitable < 350
+
+
 def test_quotient_matrix_partition_validation():
     g = complete(4)
     with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Exhaustive scans, sweeps, and identity checks with frozen expectations."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -10,11 +11,16 @@ import numpy as np
 import pytest
 
 import bindex.verify as verify
-from bindex.binding import BindingResult, binding_number_bruteforce, binding_number_flow
+from bindex.binding import (
+    BindingResult,
+    binding_number,
+    binding_number_bruteforce,
+    binding_number_flow,
+)
 from bindex.cli import run
-from bindex.codec import graph6_decode
+from bindex.codec import graph6_decode, graph6_encode
 from bindex.constructions import lemma6_max
-from bindex.graph import DomainError, LimitError
+from bindex.graph import DomainError, Graph, LimitError
 from bindex.polynomials import IntPolynomial
 from bindex.verify import (
     VerificationReport,
@@ -24,6 +30,7 @@ from bindex.verify import (
     _member,
     _multisets,
     _run_scan,
+    _shape,
     _weights,
     check_polynomial_identities,
     enumerate_bipartite_max,
@@ -210,6 +217,92 @@ def test_maximisers_check_shapes_and_members():
     assert _maximisers(8, 2, winners, lemma6_max(6, 2, 2).constructions)[:2] == (False, True)
     # K(5,3) has b = 3/5, no member for r = 2
     assert _maximisers(8, 2, [(7,) * 5], claim.constructions)[:2] == (False, False)
+
+
+def _permute_columns(rows, perm):
+    return tuple(sum((row >> j & 1) << perm[j] for j in range(len(perm))) for row in rows)
+
+
+def _transpose(rows, q):
+    return tuple(sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(q))
+
+
+def test_shape_is_a_canonical_form():
+    # a key that orders equal-degree columns by index changes for these
+    # rows when columns 2 and 3 swap
+    rows = (12, 13, 4, 10, 2)
+    assert _shape(_permute_columns(rows, (0, 1, 3, 2)), 4) == _shape(rows, 4)
+    rng = random.Random(9901)
+    for _ in range(1500):
+        q = rng.randint(1, 5)
+        p = rng.randint(q, 7)
+        rows = tuple(rng.randrange(1 << q) for _ in range(p))
+        key = _shape(rows, q)
+        perm = rng.sample(range(q), q)
+        assert _shape(_permute_columns(rows, perm), q) == key, (rows, perm)
+        assert _shape(tuple(rng.sample(rows, p)), q) == key, rows
+        if p == q:
+            assert _shape(_transpose(rows, q), q) == key, rows
+        # the key is a relabeling of its input, so one key means one class
+        kp, kq, krows = key
+        views = [rows, _transpose(rows, q)] if p == q else [rows]
+        assert (kp, kq) == (p, q) and any(
+            sorted(_permute_columns(view, perm)) == sorted(krows)
+            for view in views
+            for perm in itertools.permutations(range(q))
+        ), rows
+
+
+def _maximisers_per_arrangement(n, r, winners, constructions):
+    """Reference: every labeled arrangement built from its edge list, keyed
+    and tested for membership on its own."""
+    def graph(rows):
+        p = len(rows)
+        edges = [(i, p + j) for i, row in enumerate(rows) for j in range(n - p) if row >> j & 1]
+        return Graph.from_edges(n, edges)
+
+    graphs = [graph(rows) for rows in winners]
+    found = {_shape(rows, n - len(rows)) for rows in winners}
+    expected = set()
+    for cons in constructions:
+        p = cons.graph.bipartition()[0].bit_count()
+        expected.add(_shape([cons.graph.adj[i] >> p for i in range(p)], n - p))
+    members = all(binding_number(g).value < Fraction(1, r) for g in graphs)
+    return found == expected, members, sorted(graph6_encode(g) for g in graphs)
+
+
+def test_maximisers_match_the_per_arrangement_check(monkeypatch):
+    calls = []
+
+    def both(n, r, winners, constructions):
+        got = _maximisers(n, r, winners, constructions)
+        assert got == _maximisers_per_arrangement(n, r, winners, constructions), (n, r)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "_maximisers", both)
+    for p, q in _SHAPES_20:
+        for r in (1, 2, 3):
+            try:
+                lemma6_max(p, q, r)
+            except DomainError:
+                continue
+            enumerate_bipartite_max(p, q, r)
+    for n in range(2, 10):
+        for r in (1, 2, 3):
+            try:
+                enumerate_bipartite_theorem6(n, r)
+            except DomainError:
+                pass
+    # theorem 6 at (6, 2) and (7, 3) has maximisers of two shapes; every
+    # scanned maximiser is a member, so non-members are mixed in by hand,
+    # and other parts' constructions make shapes that do not match
+    _, winners, *_ = _run_scan(5, 3, 2, 9, 1)
+    for p, q in [(6, 2), (7, 1), (5, 3)]:
+        cons = lemma6_max(p, q, 2).constructions
+        both(8, 2, winners, cons)
+        both(8, 2, winners + [(7,) * 5, (3, 5, 6, 7, 7)], cons)
+    assert len(calls) > 60 and not all(shapes_ok for shapes_ok, *_ in calls)
 
 
 # (sha256 of json.dumps(comparable(), sort_keys=True), sha256 of
