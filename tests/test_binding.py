@@ -1,8 +1,11 @@
 """Exact binding number, threshold decision, binding sets, toughness."""
 
 import functools
+import gc
 import operator
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,8 @@ from bindex.binding import (
     BindingResult,
     _better,
     _sole_minimiser,
+    _threshold_plan,
+    _ThresholdPlan,
     binding_below_threshold,
     binding_number_bruteforce,
     binding_number_flow,
@@ -18,6 +23,7 @@ from bindex.binding import (
     toughness_bruteforce,
 )
 from bindex.constructions import family_general
+from bindex.maxflow import Dinic
 from bindex.graph import (
     DomainError,
     Graph,
@@ -307,6 +313,74 @@ def test_threshold_at_most_one_matches_subset_oracle():
     assert no > 250 and yes > 40
 
 
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_threshold_plan_follows_interleaved_graphs():
+    # decisions alternate between two graphs of equal n and a relabeled
+    # copy of the first, so the one cached plan is replaced on every call
+    rng = random.Random(2285)
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
+        h = _random_graph(rng, n, rng.uniform(0.2, 0.9))
+        graphs = [g, h, _relabeled(g, rng), g]
+        for t in (Fraction(1, 2), Fraction(1), Fraction(rng.randint(1, n), rng.randint(1, n))):
+            for x in graphs:
+                assert binding_below_threshold(x, t) == _threshold_oracle(x, t), (x.adj, t)
+
+
+def test_threshold_plan_lays_out_the_add_edge_network():
+    rng = random.Random(2286)
+    for n in (1, 2, 5, 9):
+        g = _random_graph(rng, n, 0.5)
+        net = Dinic(2 + 2 * n)
+        for v in range(n):
+            net.add_edge(0, 2 + v, 0)
+        for w in range(n):
+            net.add_edge(2 + n + w, 1, 1)
+        for v in range(n):
+            for w in vertices_of(g.adj[v]):
+                net.add_edge(2 + v, 2 + n + w, 1)
+        plan = _ThresholdPlan(g.adj)
+        assert (plan.out, plan.to) == (net.out, net.to), g.adj
+
+
+def test_flow_from_threads_matches_serial():
+    # more threads than cores, switching often, over graphs that share n:
+    # every decision reads the one cached plan while others replace it
+    rng = random.Random(2287)
+    graphs = [_random_graph(rng, n, p) for n in (12, 26) for p in (0.2, 0.35, 0.5, 0.8)]
+    serial = [binding_number_flow(g) for g in graphs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(lambda k: [binding_number_flow(g) for g in graphs[k:] + graphs[:k]], k)
+                    for k in range(4)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert got == serial[k:] + serial[:k]
+
+
+def test_threshold_plan_cache_holds_one_graph():
+    rng = random.Random(2288)
+    graphs = [_random_graph(rng, 10, 0.4) for _ in range(5)]
+    for g in graphs:
+        binding_number_flow(g)
+    info = _threshold_plan.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    gc.collect()
+    plans = [o for o in gc.get_objects() if isinstance(o, _ThresholdPlan)]
+    assert [p.adj for p in plans] == [graphs[-1].adj]
+
+
 # (n, p, b(G), witness) from binding_number_flow on G(n, p) drawn by
 # _random_graph(random.Random(7000 + i), n, p) for n = 25 + i; sizes past
 # the brute-force cap, where the CLI prints the flow witness
@@ -403,6 +477,65 @@ def test_toughness_anchors():
     assert toughness_bruteforce(family_general(8, 1, 1).graph) == Fraction(1, 3)
     with pytest.raises(DomainError):
         toughness_bruteforce(complete(5))
+
+
+
+def _toughness_oracle(g):
+    """tau(G) by a scan of all 2^n sets S, each with a component count of G - S."""
+    n, full, adj = g.n, g.mask_all, g.adj
+    best = None
+    for s in range(1 << n):
+        rem = full & ~s
+        comps = 0
+        rest = rem
+        while rest:
+            comps += 1
+            comp = rest & -rest
+            frontier = comp
+            while frontier:
+                grown = 0
+                while frontier:
+                    lowb = frontier & -frontier
+                    grown |= adj[lowb.bit_length() - 1]
+                    frontier ^= lowb
+                frontier = grown & rem & ~comp
+                comp |= frontier
+            rest &= ~comp
+        if comps >= 2 and (best is None or Fraction(s.bit_count(), comps) < best):
+            best = Fraction(s.bit_count(), comps)
+    return best
+
+
+def _random_tree(rng, n):
+    return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def test_toughness_scan_matches_subset_oracle():
+    rng = random.Random(4003)
+    graphs = []
+    for n in range(2, 13):
+        graphs += [_random_graph(rng, n, p) for p in (0.15, 0.3, 0.5, 0.7, 0.9)]
+        graphs.append(_random_tree(rng, n))
+        k = rng.randint(1, n - 1)
+        graphs.append(disjoint_union(_random_graph(rng, k, 0.6), _random_tree(rng, n - k)))
+        u, v = rng.sample(range(n), 2)
+        graphs.append(Graph(n, [row & ~(1 << (v if w == u else u)) if w in (u, v) else row
+                                for w, row in enumerate(complete(n).adj)]))
+        graphs.append(complete_bipartite(k, n - k))
+    checked = 0
+    for g in graphs:
+        if g.is_complete():
+            continue
+        assert toughness_bruteforce(g) == _toughness_oracle(g), g.adj
+        checked += 1
+    assert checked > 80
+
+
+def test_toughness_error_texts():
+    with pytest.raises(DomainError, match=r"^toughness undefined for complete graphs$"):
+        toughness_bruteforce(complete(6))
+    with pytest.raises(LimitError, match=r"^toughness brute force capped at n <= 16$"):
+        toughness_bruteforce(path(17))
 
 
 def test_binding_sets_independent_when_b_below_one():
