@@ -23,7 +23,16 @@ threshold is a _ThresholdPlan of the graph: its allowed sets, their
 counting-test data (filled on first use) and the network topology. One
 plan, that of the graph decided last, stays cached, so the rounds on a
 graph build it once and memory holds one graph's plan between calls: at
-most 9n + 8|E| + 1 topology entries plus n^2 counting-test entries.
+most 9n + 8|E| + 1 topology entries plus n^2 counting-test entries and n
+refusal memos of one (a, c) tuple each.
+
+Two rules settle allowed sets without a flow; binding_below_threshold
+gives their proofs. Nested witnesses: within one decision, a set A lying
+inside an earlier set A' whose flow witness W' lies inside A has W' as
+its witness too, since the minimisers of c|N(S)| - a|S| form a lattice
+(Picard and Queyranne 1980). Refusal memo: a set that answered no at t'
+answers no at every t <= t', so each set keeps the largest such t' and
+later, lower Dinkelbach rounds skip it.
 """
 
 from __future__ import annotations
@@ -176,16 +185,22 @@ class _SetProfile:
 
     nb is N(A); ds holds d_w = |N(w) & A| for each w in N(A), ascending.
     Both depend on the adjacency alone, so a plan keeps them across
-    thresholds, and a set skipped as a subset of a refused one never
+    thresholds, and a set that an earlier set or its memo settles never
     computes them. Threads racing on an empty slot store equal values.
+
+    no is the refusal memo: (a, c) for the largest threshold a/c at which
+    a flow found no S inside A with ratio below a/c, or None. It is one
+    tuple, so a thread reads one whole write; a racing write may keep the
+    smaller of two such thresholds, which is still one A refused at.
     """
 
-    __slots__ = ("adj", "sub", "size", "nb", "ds")
+    __slots__ = ("adj", "sub", "size", "nb", "ds", "no")
 
     def __init__(self, adj: tuple[int, ...], sub: int) -> None:
         self.adj, self.sub, self.size = adj, sub, sub.bit_count()
         self.nb: Optional[int] = None
         self.ds: Optional[list[int]] = None
+        self.no: Optional[tuple[int, int]] = None
 
     def sole_minimiser(self, a: int, c: int) -> bool:
         """Counting test that S = A is the only minimiser of c|N(S)| - a|S|.
@@ -237,10 +252,12 @@ class _ThresholdPlan:
     on the threshold, so a decision allocates nothing else.
 
     A plan depends on the adjacency alone and is never changed after it
-    is built, apart from the profiles' idempotent lazy slots, so threads
-    may share it. Its topology takes 9n + 8|E| + 1 list entries, fewer
-    than the arrays of one network built arc by arc (12n + 12|E|); its at
-    most n profiles hold at most n degrees each.
+    is built, apart from the profiles' idempotent lazy slots and their
+    refusal memos, each written as one value that holds whenever it is
+    read, so threads may share it. Its topology takes 9n + 8|E| + 1 list
+    entries, fewer than the arrays of one network built arc by arc
+    (12n + 12|E|); its at most n profiles hold at most n degrees and one
+    memo tuple each.
     """
 
     __slots__ = ("adj", "n", "sets", "first", "out", "to")
@@ -403,27 +420,43 @@ def binding_below_threshold(
 
     Cunningham's reduction: N(S) misses u exactly when S lies inside the
     allowed set A = V without N(u), so the smallest minimiser of
-    c|N(S)| - a|S| over S inside A, with t = a/c, is a witness whenever
-    that minimum is negative. One network serves every A of a call
-    (_ThresholdNetwork): moving to the next set keeps the flow of the
+    f(S) = c|N(S)| - a|S| over S inside A, with t = a/c, is a witness
+    whenever that minimum is negative. One network serves every A of a
+    call (_ThresholdNetwork): moving to the next set keeps the flow of the
     vertices that stay, and augments from there.
 
     What does not depend on t comes from the graph's _ThresholdPlan: the
-    allowed sets, their counting-test profiles and the network topology.
-    The plan is cached for the graph decided last, so the Dinkelbach
-    rounds of binding_number_flow build it once; a decision allocates
-    only the capacities and Dinic's level arrays. The cache holds one
-    plan: one network's topology plus at most n^2 profile entries.
+    allowed sets, their counting-test profiles, their refusal memos and
+    the network topology. The plan is cached for the graph decided last,
+    so the Dinkelbach rounds of binding_number_flow build it once; a
+    decision allocates only the capacities and Dinic's level arrays. The
+    cache holds one plan: one network's topology plus at most n^2 profile
+    entries and n memo tuples.
 
-    The sets are visited largest first, and a set inside one that answered
-    no is skipped, since it answers no as well. A set that passes the
-    counting test of _SetProfile.sole_minimiser is its own witness without
-    a flow. Witnesses are aggregated over the sets by minimum ratio with
-    the (size, lex) tie-break of _better, a strict total order, so the
-    visiting order does not change the answer.
+    The sets are visited largest first. A set that passes the counting
+    test of _SetProfile.sole_minimiser is its own witness without a flow.
+    Witnesses are aggregated over the sets by minimum ratio with the
+    (size, lex) tie-break of _better, a strict total order, so neither
+    the visiting order nor a set skipped for giving a known witness
+    changes the answer. Two rules skip sets without a flow:
 
-    When t <= 1 and the first set decided by a flow answers no before any
-    set has answered yes, one more flow, warm from the last, allows every
+    - Nested witnesses. f is submodular, so its minimisers over a set
+      form a lattice (Picard and Queyranne 1980) whose least element is
+      the smallest minimiser. Let W' be that of an earlier set A' (0 when
+      A' answered no). Every A with W' inside A inside A' is skipped: the
+      minimum over A is at least that over A' and W' reaches it, so the
+      minimisers over A are those over A' that lie in A, and their least
+      element is W' again. Only flow answers are listed; a set that
+      passes the counting test has W' = A', so no other set lies between.
+    - Refusal memo. A set that answered no at t' has every S inside it at
+      ratio >= t', so it answers no at every t <= t'. Each profile keeps
+      the largest such t' (_SetProfile.no); a decision at t <= t' lists
+      the set as a no without a flow. Dinkelbach rounds fall in t, so
+      each round skips what earlier rounds refused. This costs one tuple
+      per allowed set, held with the plan.
+
+    When t <= 1 and the first flow of a call answers no before any set
+    has answered yes, one more flow, warm from the last, allows every
     vertex. If it saturates, no S at all has ratio < t: the answer is no.
     At t <= 1 the converse holds too, as a set with N(S) = V has ratio
     n/|S| >= 1 >= t, so a no costs two flows, not one per set visited.
@@ -440,22 +473,28 @@ def binding_below_threshold(
     plan = _threshold_plan(g.adj)
     net: Optional[_ThresholdNetwork] = None  # built when a set first needs it
     best: Optional[tuple[int, int, int]] = None  # (num, den, mask)
-    refused: list[int] = []
+    settled: list[tuple[int, int]] = []  # (A', W') of the flow answers and memo noes
     for profile in plan.sets:
         sub = profile.sub
-        if any(sub & ~no == 0 for no in refused):
+        if any(sub & ~outer == 0 and w & ~sub == 0 for outer, w in settled):
+            continue
+        no = profile.no
+        if no is not None and a * no[1] <= no[0] * c:
+            settled.append((sub, 0))
             continue
         if profile.sole_minimiser(a, c):
             smask = sub
         else:
-            if net is None:
+            first = net is None
+            if first:
                 net = _ThresholdNetwork(plan, a, c)
             smask = net.witness(sub)
-            if a <= c and not (smask or refused or best) and not net.witness(g.mask_all):
+            if first and a <= c and not (smask or best) and not net.witness(g.mask_all):
                 return False, None
-        if not smask:
-            refused.append(sub)
-            continue
+            settled.append((sub, smask))
+            if not smask:
+                profile.no = (a, c)
+                continue
         num = g.neighborhood(smask).bit_count()
         den = smask.bit_count()
         if best is None or _better(num, den, smask, *best):

@@ -13,6 +13,9 @@ from __future__ import annotations
 from .graph import DomainError, Graph
 
 _G6_MAX = 258047
+# A 6-bit group's octal digits, low digit first, to its graph6 byte. The
+# group's first bit is its lowest, and graph6 writes the first bit highest.
+_G6_CHAR = {f"{v & 7}{v >> 3}": chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)}
 
 
 class Graph6Error(ValueError):
@@ -24,31 +27,28 @@ class Graph6Error(ValueError):
 
 
 def graph6_encode(g: Graph) -> str:
+    """The graph6 string of g, packed column by column from the masks.
+
+    Bit k of one int is the k-th upper-triangle bit: column `col` holds
+    the neighbours of col below it, shifted past the earlier columns. Its
+    octal digits, low first, pair up into the 6-bit groups, each digit
+    pair mapped to its byte by _G6_CHAR.
+    """
     n = g.n
     if n > _G6_MAX:
         raise DomainError(f"graph6 supports n <= {_G6_MAX}")
-    out = bytearray()
     if n <= 62:
-        out.append(n + 63)
+        head = chr(n + 63)
     else:
-        out.append(126)
-        out.append(((n >> 12) & 63) + 63)
-        out.append(((n >> 6) & 63) + 63)
-        out.append((n & 63) + 63)
-    acc = 0
-    nbits = 0
-    for col in range(1, n):
-        colbits = g.adj[col]
-        for row in range(col):
-            acc = (acc << 1) | ((colbits >> row) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+        head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    bits = 0
+    total = 0
+    for col, row in enumerate(g.adj):
+        bits |= (row & ((1 << col) - 1)) << total
+        total += col
+    width = 2 * ((total + 5) // 6)
+    digits = format(bits, "o").zfill(width)[::-1]
+    return head + "".join([_G6_CHAR[digits[i : i + 2]] for i in range(0, width, 2)])
 
 
 def graph6_decode(text: str) -> Graph:

@@ -33,10 +33,14 @@ class Dinic:
         at e and e ^ 1 as add_edge lays them out.
 
         out and to are only read, so many networks may share them; such a
-        network must not be extended with add_edge. cap is its own.
+        network must not be extended with add_edge. cap is its own. Only
+        the level and iterator arrays are allocated.
         """
-        net = cls(len(out))
-        net.out, net.to, net.cap = out, to, cap
+        net = cls.__new__(cls)
+        n = len(out)
+        net.n, net.out, net.to, net.cap = n, out, to, cap
+        net.level = [-1] * n
+        net.it = [0] * n
         return net
 
     def add_edge(self, u: int, v: int, c: int) -> None:

@@ -49,6 +49,16 @@ class EquitabilityError(DomainError):
 
 
 def _component_radius(g: Graph, comp: int, tol: float) -> float:
+    """Perron root of one component by power iteration on A + I.
+
+    The loop runs in two preallocated buffers: x holds the iterate and
+    then the residual, y the product. Every step is the float operation
+    of the plain loop y = A x + x, lam = x.y, d = y - lam x,
+    x = y / |y|, on the same operands in the same order; a ufunc writing
+    to out= rounds exactly as one returning a new array, and a bound dot
+    is the BLAS call @ makes. So the estimate keeps every bit, the
+    ConvergenceError estimate too.
+    """
     verts = vertices_of(comp)
     k = len(verts)
     if k == 1:
@@ -64,15 +74,19 @@ def _component_radius(g: Graph, comp: int, tol: float) -> float:
     # shift by +I: keeps the dominant eigenvalue simple in magnitude even
     # on bipartite components, where the plain spectrum is symmetric
     x = np.ones(k) / np.sqrt(k)
+    y = np.empty(k)
+    a_dot, x_dot, y_dot = a.dot, x.dot, y.dot
+    add, multiply, subtract, divide = np.add, np.multiply, np.subtract, np.divide
+    sqrt = math.sqrt
     lam = 1.0
     for _ in range(_POWER_CAP):
-        y = a @ x + x
-        lam = float(x @ y)
-        d = y - lam * x
+        add(a_dot(x, out=y), x, out=y)
+        lam = float(x_dot(y))
+        subtract(y, multiply(x, lam, out=x), out=x)  # x is now d = y - lam x
         # the Euclidean norm as np.linalg.norm takes it for a 1-D float array
-        if math.sqrt(float(d @ d)) <= tol * lam:
+        if sqrt(float(x_dot(x))) <= tol * lam:
             return lam - 1.0
-        x = y / math.sqrt(float(y @ y))
+        divide(y, sqrt(float(y_dot(y))), out=x)
     raise ConvergenceError(lam - 1.0)
 
 

@@ -8,6 +8,8 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from bindex.binding import binding_number_bruteforce, binding_number_flow
 from bindex.constructions import (
     bipartite_extremal_D,
@@ -37,6 +39,8 @@ from bindex.verify import (
     scan_family_general,
     scan_lemma12,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def _done(num, budget, t0, detail):

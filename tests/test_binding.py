@@ -22,7 +22,12 @@ from bindex.binding import (
     binding_sets_all,
     toughness_bruteforce,
 )
-from bindex.constructions import family_general
+from bindex.constructions import (
+    bipartite_extremal_D,
+    bipartite_extremal_K,
+    family_general,
+    general_extremal,
+)
 from bindex.maxflow import Dinic
 from bindex.graph import (
     DomainError,
@@ -379,6 +384,127 @@ def test_threshold_plan_cache_holds_one_graph():
     gc.collect()
     plans = [o for o in gc.get_objects() if isinstance(o, _ThresholdPlan)]
     assert [p.adj for p in plans] == [graphs[-1].adj]
+
+
+def _thresholds(g, rng, k):
+    """k distinct thresholds on g: b(G), just above it, and random a/c."""
+    n = g.n
+    ts = {binding_number_bruteforce(g).value} - {0}
+    ts |= {t + Fraction(1, n * n) for t in ts}
+    while len(ts) < k:
+        ts.add(Fraction(rng.randint(1, 2 * n), rng.randint(1, n)))
+    return sorted(ts)
+
+
+def test_threshold_order_matches_subset_oracle():
+    # the refusal memos of one graph's plan carry over between calls, so
+    # each order decides one fresh plan: falling (the Dinkelbach order),
+    # rising (every memo is below t) and shuffled
+    rng = random.Random(2289)
+    for _ in range(120):
+        n = rng.randint(3, 9)
+        g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
+        ts = _thresholds(g, rng, 8)
+        expected = {t: _threshold_oracle(g, t) for t in ts}
+        shuffled = ts[:]
+        rng.shuffle(shuffled)
+        for order in (ts[::-1], ts, shuffled):
+            _threshold_plan.cache_clear()
+            for t in order:
+                assert binding_below_threshold(g, t) == expected[t], (g.adj, order, t)
+
+
+def _threshold_graph(rng, n):
+    """Vertices added one by one, each isolated or joined to all before it."""
+    adj = [0] * n
+    for v in range(1, n):
+        if rng.random() < 0.5:
+            adj[v] = (1 << v) - 1
+            for u in range(v):
+                adj[u] |= 1 << v
+    return Graph(n, adj)
+
+
+def _nested_graphs(rng):
+    """Graphs whose neighbourhoods nest, some relabeled, n <= 12."""
+    graphs = [_threshold_graph(rng, n) for n in range(2, 13) for _ in range(4)]
+    for _ in range(30):
+        h = rng.randint(1, 3)
+        spec = BipartitionSpec(*(tuple(rng.randint(1, 3) for _ in range(h)) for _ in "pq"))
+        graphs.append(double_nested(spec))
+    for r in range(1, 4):
+        for n in range(r + 3, 13):
+            graphs.append(bipartite_extremal_K(n, r).graph)
+            if n >= r + 4:
+                graphs.append(general_extremal(n, r).graph)
+            graphs += [family_general(n, r, t1).graph for t1 in range(2, (n - 3) // (r + 1) + 1)]
+            if n >= r + 5:
+                graphs += [bipartite_extremal_D(n, r, v).graph for v in ("ceil", "floor")]
+    return graphs + [_relabeled(g, rng) for g in graphs[::3]]
+
+
+def test_nested_neighbourhoods_match_oracles():
+    # nested allowed sets are where earlier flow witnesses settle later sets
+    rng = random.Random(2290)
+    graphs = _nested_graphs(rng)
+    assert len(graphs) > 200
+    for g in graphs:
+        rf, rb = binding_number_flow(g), binding_number_bruteforce(g)
+        assert rf.value == rb.value, g.adj
+        ts = _thresholds(g, rng, 5)
+        expected = {t: _threshold_oracle(g, t) for t in ts}
+        for order in (ts[::-1], ts):
+            _threshold_plan.cache_clear()
+            for t in order:
+                assert binding_below_threshold(g, t) == expected[t], (g.adj, t)
+
+
+def test_refusal_memos_hold_and_spare_flows(monkeypatch):
+    # every stored memo a/c is a threshold its set is refused at, and a
+    # repeated decision runs a flow only on the sets that answered yes
+    calls = []
+    maxflow = Dinic.maxflow
+    monkeypatch.setattr(Dinic, "maxflow", lambda net, s, t: calls.append(s) or maxflow(net, s, t))
+    rng = random.Random(2291)
+    spared = 0
+    for g in _nested_graphs(rng)[::4] + [_random_graph(rng, 9, 0.5) for _ in range(40)]:
+        _threshold_plan.cache_clear()
+        rf = binding_number_flow(g)
+        for profile in _threshold_plan(g.adj).sets:
+            if profile.no is not None:
+                a, c = profile.no
+                assert _minimisers(g, profile.sub, a, c)[0] == 0, (g.adj, profile.sub)
+        t = rf.value * 2 if rf.value else Fraction(1, 2)
+        calls.clear()
+        first = binding_below_threshold(g, t)
+        before = len(calls)
+        assert binding_below_threshold(g, t) == first == _threshold_oracle(g, t), g.adj
+        assert len(calls) - before <= before
+        spared += len(calls) - before < before
+    assert spared > 20
+
+
+def test_refusal_memos_from_threads_match_serial():
+    # more threads than cores decide one graph's thresholds in different
+    # orders, racing on its profiles' memo slots; every answer must match
+    rng = random.Random(2292)
+    graphs = [_random_graph(rng, n, p) for n in (8, 10) for p in (0.3, 0.5, 0.8)]
+    graphs += [general_extremal(11, 2).graph, bipartite_extremal_D(12, 1, "floor").graph]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for g in graphs:
+            ts = _thresholds(g, rng, 10)
+            expected = [_threshold_oracle(g, t) for t in ts]
+            orders = [ts[::-1], ts, rng.sample(ts, len(ts)), rng.sample(ts, len(ts))]
+            _threshold_plan.cache_clear()
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(lambda o: [binding_below_threshold(g, t) for t in o * 5], o) for o in orders]
+                results = [run.result(timeout=120) for run in runs]
+            for order, got in zip(orders, results):
+                assert got == [expected[ts.index(t)] for t in order * 5], g.adj
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # (n, p, b(G), witness) from binding_number_flow on G(n, p) drawn by

@@ -58,6 +58,32 @@ def test_roundtrip_header_boundary():
         assert graph6_decode(s) == g
 
 
+def _graph6_pairwise(g):
+    """graph6 packed one vertex pair at a time, in column order."""
+    n = g.n
+    out = bytearray([n + 63] if n <= 62 else [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    acc = nbits = 0
+    for col in range(1, n):
+        for row in range(col):
+            acc = acc << 1 | g.adj[col] >> row & 1
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def test_encode_matches_pairwise_packing():
+    # both header forms: n <= 62 in one byte, n >= 63 after '~'
+    rng = random.Random(29)
+    for n in range(1, 71):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = _random_graph(rng, n, p)
+            assert graph6_encode(g) == _graph6_pairwise(g), (n, p)
+
+
 def test_decode_errors_carry_offsets():
     with pytest.raises(Graph6Error) as ei:
         graph6_decode("")

@@ -69,7 +69,8 @@ def test_power_iteration_deterministic():
 
 
 def _radius_with_linalg_norm(g, tol=1e-12):
-    """spectral_radius_power with both norms taken by np.linalg.norm."""
+    """spectral_radius_power with both norms taken by np.linalg.norm,
+    each step allocating its result; ConvergenceError at the cap."""
     best = 0.0
     for comp in g.components():
         verts = vertices_of(comp)
@@ -87,22 +88,26 @@ def _radius_with_linalg_norm(g, tol=1e-12):
             if float(np.linalg.norm(y - lam * x)) <= tol * lam:
                 break
             x = y / float(np.linalg.norm(y))
+        else:
+            raise ConvergenceError(lam - 1.0)
         best = max(best, lam - 1.0)
     return best
 
 
 def test_power_iteration_bit_identical_to_linalg_norm_loop():
-    seen = 0
-    for r in range(1, 4):
+    # every family_grid shape for r <= 5, n <= 20, plus a disconnected graph
+    graphs = [disjoint_union(complete_bipartite(3, 5), double_nested(BipartitionSpec((2, 3), (1, 2))))]
+    for r in range(1, 6):
         for n in range(r + 3, 21):
             cs = [bipartite_extremal_K(n, r)]
             cs += [family_general(n, r, t1) for t1 in range(1, (n - 3) // (r + 1) + 1)]
             if n >= r + 5:
                 cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
-            for c in cs:
-                assert spectral_radius_power(c.graph) == _radius_with_linalg_norm(c.graph), c.label
-                seen += 1
-    assert seen > 200
+            graphs += [c.graph for c in cs]
+    assert len(graphs) > 380
+    for g in graphs:
+        for tol in (1e-6, 1e-9, 1e-12, 1e-14):
+            assert spectral_radius_power(g, tol) == _radius_with_linalg_norm(g, tol), (g.adj, tol)
 
 
 def test_power_iteration_tol_validation():
@@ -121,6 +126,9 @@ def test_power_iteration_cap(monkeypatch):
         spectral_radius_power(path(12), tol=1e-15)
     assert isinstance(ei.value.estimate, float)
     assert 0 < ei.value.estimate < 2
+    with pytest.raises(ConvergenceError) as ref:
+        _radius_with_linalg_norm(path(12), tol=1e-15)
+    assert ei.value.estimate == ref.value.estimate
 
 
 def test_quotient_matrix():
