@@ -16,6 +16,11 @@ exact because |S| divides L, and at most 24 * L < 2^37; the rank, key << 5
 | |S|, stays below 2^42, so int64 holds it and ratios are compared without
 a float. Worst case, n = 24, on a 2-vCPU x86-64 box: 0.06-0.07 s per
 call (G(24, 0.3) and K_24), with about 1 MB of arrays live per block.
+The table is built for a stack of graphs of one order, one row each: up
+to 2^(16 - n) graphs of order n <= 16 share one block of 2^16 entries,
+so listing the binding sets of many small graphs (_binding_sets_many)
+costs a few numpy calls per block rather than per graph. A graph with
+n > 16 fills its blocks alone.
 
 Flow (any n) decides thresholds on Cunningham's network, one decision per
 Dinkelbach round. What a decision needs that does not depend on the
@@ -38,10 +43,11 @@ later, lower Dinkelbach rounds skip it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +61,10 @@ _TOUGH_MAX = 16
 _LOW_BITS = 16  # vertices per block of the subset table
 _L = math.lcm(*range(1, _BRUTE_MAX + 1))  # 5354228880
 _EXCLUDED = np.iinfo(np.int64).max
-# |S| << 5 for every S over the low vertices: its row in a rank table
-_LOW_ROW = np.bitwise_count(np.arange(1 << _LOW_BITS, dtype=np.uint32)).astype(np.uint16) << 5
+# |S| << 5 for every S over the low vertices, as a column: its row in a rank table
+_LOW_ROW = (
+    np.bitwise_count(np.arange(1 << _LOW_BITS, dtype=np.uint32)).astype(np.uint16)[:, None] << 5
+)
 
 
 def _rank_table(n: int) -> np.ndarray:
@@ -128,27 +136,37 @@ def _isolated_result(g: Graph, method: str) -> Optional[BindingResult]:
     return BindingResult.checked(g, least, method)
 
 
-def _subset_ranks(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (high, rank) for each block of the subset table of g.
+def _subset_ranks(adjs: Sequence[Sequence[int]]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (high, rank) for each block of the subset table of a graph stack.
 
-    Block `high` holds the sets S = high | lo for every lo over the low
-    k = min(n, 16) vertices; rank[lo] is the _rank_table entry of S. N(S)
-    is built over the low vertices once by doubling, as uint32, and each
-    block ORs in N(high).
+    adjs holds the adjacency rows of B graphs of order n, at most
+    2^(16 - n) of them when n <= 16 and one when n > 16, so that a block
+    holds at most 2^16 entries. Block `high` holds the sets S = high | lo
+    for every lo over the low k = min(n, 16) vertices; rank[i, lo] is the
+    _rank_table entry of S in graph i. N(S) is built over the low vertices
+    once by doubling, as uint32, and each block ORs in N(high).
+
+    The table is laid out set-major, 2^k x B, and rank is a transposed
+    view of it: doubling slices only its first axis, and one graph's rows
+    are ORed in as plain ints. Row slices of a B x 2^k table, or 1 x 1
+    arrays, cost about 1 us more per doubling step, a third of the whole
+    table of one graph with n <= 9.
     """
-    n, adj = g.n, g.adj
+    b, n = len(adjs), len(adjs[0])
     k = min(n, _LOW_BITS)
-    lo = np.zeros(1 << k, dtype=np.uint32)
+    cols = adjs[0] if b == 1 else np.array(adjs, dtype=np.uint32).T  # cols[v]: N(v) per graph
+    lo = np.zeros((1 << k, b), dtype=np.uint32)
     for v in range(k):
-        np.bitwise_or(lo[: 1 << v], adj[v], out=lo[1 << v : 2 << v])
+        np.bitwise_or(lo[: 1 << v], cols[v], out=lo[1 << v : 2 << v])
+    high_nb = np.zeros((1 << (n - k), b), dtype=np.uint32)
+    for v in range(n - k):
+        np.bitwise_or(high_nb[: 1 << v], cols[k + v], out=high_nb[1 << v : 2 << v])
     row = _LOW_ROW[: 1 << k]
-    high_nb = [0] * (1 << (n - k))
-    for m in range(1, 1 << (n - k)):
-        high_nb[m] = high_nb[m & (m - 1)] | adj[(m & -m).bit_length() - 1 + k]
     rank = _RANK[n]
-    for m, hnb in enumerate(high_nb):
+    for m in range(1 << (n - k)):
         # |S| = |lo| + |m|: the table from row |m| on is indexed by |lo|
-        yield m << k, rank[m.bit_count() << 5 :].take(np.bitwise_count(lo | hnb) + row)
+        idx = np.bitwise_count(lo | high_nb[m]) + row
+        yield m << k, rank[m.bit_count() << 5 :].take(idx).T
 
 
 def _lex_least(a: int, b: int) -> int:
@@ -169,7 +187,8 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
     if iso is not None:
         return iso
     best_rank, best = _EXCLUDED, 0
-    for high, rank in _subset_ranks(g):
+    for high, ranks in _subset_ranks([g.adj]):
+        rank = ranks[0]
         least = int(rank[rank.argmin()])
         if least > best_rank:
             continue
@@ -529,25 +548,55 @@ def binding_number(g: Graph) -> BindingResult:
     return binding_number_flow(g)
 
 
+def _binding_sets_many(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, list[int]]]:
+    """(g, binding_sets_all(g)) for each of graphs, all of one order n <= 20.
+
+    The graphs are read one block at a time: up to 2^(16 - n) of them
+    share one subset table (_subset_ranks), and a graph with n > 16 has
+    its own, split over its high vertices. A block thus costs a fixed
+    number of numpy calls however many small graphs it holds.
+    """
+    graphs = iter(graphs)
+    first = next(graphs, None)
+    if first is None:
+        return
+    n = first.n
+    if n > _SETS_MAX:
+        raise LimitError(f"binding set listing capped at n <= {_SETS_MAX}")
+    graphs = itertools.chain([first], graphs)
+    while block := list(itertools.islice(graphs, 1 << max(_LOW_BITS - n, 0))):
+        if any(g.n != n for g in block):
+            raise DomainError("binding set listing takes graphs of one order")
+        best = [_EXCLUDED] * len(block)
+        found: list[list[int]] = [[] for _ in block]
+        for high, rank in _subset_ranks([g.adj for g in block]):
+            key = rank >> 5
+            least = key.min(axis=1, keepdims=True)
+            leasts = least.ravel().tolist()
+            if all(m > b for m, b in zip(leasts, best)):
+                continue  # a later high block (n > 16) that beats no graph's best
+            graph, lows = np.divmod(np.flatnonzero(key == least), key.shape[1])
+            sets = (lows | high).tolist()
+            ends = np.bincount(graph, minlength=len(block)).cumsum().tolist()
+            start = 0
+            for i, (m, end) in enumerate(zip(leasts, ends)):
+                if m < best[i]:
+                    best[i], found[i] = m, sets[start:end]
+                elif m == best[i]:
+                    found[i] += sets[start:end]
+                start = end
+        for g, sets in zip(block, found):
+            sets.sort(key=vertices_of)
+            yield g, sets
+
+
 def binding_sets_all(g: Graph) -> list[int]:
     """All nonempty S with N(S) != V achieving b(G), lex order; n <= 20.
 
-    The sets of least ratio in the subset table of binding_number_bruteforce.
+    The sets of least ratio in the subset table of binding_number_bruteforce:
+    the one-graph case of _binding_sets_many.
     """
-    if g.n > _SETS_MAX:
-        raise LimitError(f"binding set listing capped at n <= {_SETS_MAX}")
-    best_key = _EXCLUDED
-    out: list[int] = []
-    for high, rank in _subset_ranks(g):
-        key = rank >> 5
-        least = int(key[key.argmin()])
-        if least > best_key:
-            continue
-        if least < best_key:
-            best_key, out = least, []
-        out.extend(((key == least).nonzero()[0] | high).tolist())
-    out.sort(key=vertices_of)
-    return out
+    return next(_binding_sets_many([g]))[1]
 
 
 def toughness_bruteforce(g: Graph) -> Fraction:

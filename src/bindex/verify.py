@@ -14,10 +14,13 @@ when the rows are permuted, so each multiset stands for its
 p! / prod(mult!) labeled biadjacencies, and only the maximisers are
 expanded back into their distinct arrangements (orderly generation:
 R. C. Read, "Every one a winner", 1978; B. D. McKay, "Isomorph-free
-exhaustive generation", 1998). Every multiset with an isolated vertex is
-dropped first. For the survivors, with parts X (p rows) and Y (q <= p
-columns), b < 1/r holds iff some T inside one side has r * |N(T)| < |T|,
-and one table over the subsets U of Y decides both sides: with
+exhaustive generation", 1998). A row with fewer than e0 - (p - 1) * q
+edges, for the edge threshold e0, is never drawn: the other p - 1 rows
+add at most q edges each, so no multiset holding it reaches e0. Every
+multiset with an isolated vertex is dropped first. For the survivors,
+with parts X (p rows) and Y (q <= p columns), b < 1/r holds iff some T
+inside one side has r * |N(T)| < |T|, and one table over the subsets U
+of Y decides both sides: with
 c(U) = #{x in X : N(x) inside U}, the X side holds iff r * |U| < c(U)
 for some U (take U = N(T), or T = {x : N(x) inside U}), and the Y side
 iff r * (p - c(U)) < |Y - U| for some U, because |N(T)| = p - c(Y - T).
@@ -38,7 +41,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
@@ -48,9 +50,9 @@ import numpy as np
 
 from .binding import (
     _TOUGH_MAX,
+    _binding_sets_many,
     binding_number,
     binding_number_flow,
-    binding_sets_all,
     toughness_bruteforce,
 )
 from .codec import graph6_encode
@@ -214,15 +216,19 @@ def _member(rows: np.ndarray, p: int, q: int, r: int) -> np.ndarray:
     return ok
 
 
-def _multisets(p: int, q: int) -> np.ndarray:
-    """Every multiset of p nonzero rows over q columns, one sorted column each.
+def _multisets(p: int, q: int, e0: int) -> np.ndarray:
+    """Every multiset of p nonzero rows over q columns that may reach e0
+    edges, one sorted column each.
 
-    p * q <= 28 and q <= p (n <= 10 for theorem 6) give q <= 5, so a row
-    fits in a uint8.
+    The other p - 1 rows add at most q edges each, so a row with fewer than
+    e0 - (p - 1) * q edges is in no multiset of at least e0 edges and is
+    left out of the alphabet; the multisets kept come in the same order as
+    over the whole alphabet. p * q <= 28 and q <= p (n <= 10 for theorem
+    6) give q <= 5, so a row fits in a uint8.
     """
-    flat = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(1, 1 << q), p)
-    )
+    least = e0 - (p - 1) * q
+    alphabet = [row for row in range(1, 1 << q) if row.bit_count() >= least]
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(alphabet, p))
     return np.fromiter(flat, np.uint8).reshape(-1, p).T.copy()
 
 
@@ -276,7 +282,7 @@ def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
     10.6-11.0 s serial and 6.0 s with 2 workers, almost all of it its 19589
     audits.
     """
-    rows = _multisets(p, q)
+    rows = _multisets(p, q, e0)
     keep, edges = _survivors(rows, q, e0)
     rows, edges = rows[:, keep], edges[keep]
     survivors = int(_weights(rows).sum())
@@ -292,6 +298,8 @@ def _run_scan(p: int, q: int, r: int, e0: int, threads: int):
     member = _member(arows, p, q, r).tolist()
     failed = functools.partial(_audit_failed, q, r)
     if threads > 1 and len(audit_rows) >= _POOL_AUDITS:
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = -(-len(audit_rows) // (4 * threads))
             audit_bad = sum(pool.map(failed, audit_rows, member, chunksize=chunk))
@@ -473,8 +481,10 @@ def enumerate_general_properties(
     """Binding-set independence, toughness bound, isolated rule, flow agreement.
 
     Every graph for n <= 6 (samples is ignored), else samples >= 1 seeded
-    random graphs. One subset table per graph: b is read from its first
-    binding set.
+    random graphs. The graphs are built one block at a time and share one
+    subset table per block (binding._binding_sets_many), so the n = 6 sweep
+    holds 1024 of its 32768 graphs at once; b is read from each graph's
+    first binding set.
     """
     if n > _TOUGH_MAX:
         raise LimitError(f"property sweep capped at n <= {_TOUGH_MAX} (toughness brute force)")
@@ -492,10 +502,8 @@ def enumerate_general_properties(
     checked = 0
     failures = {"independence": 0, "toughness": 0, "isolated": 0, "flow": 0}
     one = Fraction(1)
-    for mask in masks:
-        g = _graph_from_pairmask(n, mask)
+    for g, sets in _binding_sets_many(_graph_from_pairmask(n, mask) for mask in masks):
         checked += 1
-        sets = binding_sets_all(g)
         b = Fraction(g.neighborhood(sets[0]).bit_count(), sets[0].bit_count())
         bf = binding_number_flow(g).value
         graph_bad = False

@@ -13,6 +13,7 @@ import pytest
 from bindex.binding import (
     BindingResult,
     _better,
+    _binding_sets_many,
     _sole_minimiser,
     _threshold_plan,
     _ThresholdPlan,
@@ -131,6 +132,55 @@ def test_scan_matches_oracle_across_high_blocks():
     for g in graphs:
         r = binding_number_bruteforce(g)
         assert (r.value, r.witness) == _brute_oracle(g)[:2], g.adj
+
+
+def _sets_of_stack(graphs):
+    listed = list(_binding_sets_many(graphs))
+    assert [g for g, _ in listed] == list(graphs)
+    return [sets for _, sets in listed]
+
+
+def test_binding_sets_many_matches_oracle_on_all_graphs_to_n5():
+    for n in range(1, 6):
+        graphs = list(_labeled_graphs(n))
+        expected = [_brute_oracle(g)[2] for g in graphs]
+        assert _sets_of_stack(graphs) == expected, n
+        assert [binding_sets_all(g) for g in graphs] == expected, n
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_binding_sets_many_straddles_the_block_capacity(n):
+    # up to 2^(16 - n) graphs share a block: one short of it, and one over
+    rng = random.Random(5200 + n)
+    per_block = 1 << (16 - n)
+    for size in (per_block - 1, per_block + 1):
+        graphs = [
+            _random_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.8, 0.95)))
+            for _ in range(size)
+        ]
+        expected = [_brute_oracle(g)[2] for g in graphs]
+        assert _sets_of_stack(graphs) == expected, (n, size)
+        assert [binding_sets_all(g) for g in graphs] == expected, (n, size)
+
+
+def test_binding_sets_many_one_graph_per_block_above_16():
+    rng = random.Random(5217)
+    for n in range(17, 21):
+        graphs = [_random_graph(rng, n, p) for p in ((0.2, 0.7) if n <= 18 else (0.3,))]
+        expected = [_brute_oracle(g)[2] for g in graphs]
+        assert _sets_of_stack(graphs) == expected, n
+        assert [binding_sets_all(g) for g in graphs] == expected, n
+
+
+def test_binding_sets_many_rejects_mixed_orders_and_large_n():
+    assert _sets_of_stack([]) == []
+    with pytest.raises(DomainError, match=r"^binding set listing takes graphs of one order$"):
+        list(_binding_sets_many([path(3), path(4)]))
+    # the odd graph out starts the second block of n = 6 graphs
+    with pytest.raises(DomainError):
+        list(_binding_sets_many([path(6)] * 1024 + [path(5)]))
+    with pytest.raises(LimitError, match=r"^binding set listing capped at n <= 20$"):
+        list(_binding_sets_many([complete(21)]))
 
 
 def test_small_anchors_brute():

@@ -1,10 +1,14 @@
 """Exhaustive scans, sweeps, and identity checks with frozen expectations."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +35,7 @@ from bindex.verify import (
     _multisets,
     _run_scan,
     _shape,
+    _survivors,
     _weights,
     check_polynomial_identities,
     enumerate_bipartite_max,
@@ -100,12 +105,13 @@ def test_bipartite_max_deterministic_and_parallel(monkeypatch):
     assert d.comparable() == enumerate_bipartite_max(4, 4, 1).comparable()
     pools = []
 
-    class SpyPool(verify.ProcessPoolExecutor):
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SpyPool)
+    # _run_scan imports the pool class only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     serial = enumerate_bipartite_max(6, 4, 2)
     assert pools == []
     # 117 audits stay below the pool threshold even with threads=2
@@ -117,6 +123,21 @@ def test_bipartite_max_deterministic_and_parallel(monkeypatch):
     assert serial.counters["audited"] == 481 >= verify._POOL_AUDITS
     assert serial.comparable() == enumerate_bipartite_max(6, 4, 2, threads=2).comparable()
     assert pools == [{"max_workers": 2}]
+
+
+def test_import_loads_no_process_pool():
+    # the pool machinery costs tens of ms to import; only a pooled scan needs it
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    code = (
+        "import sys, bindex, bindex.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _rows_of(m, p, q):
@@ -188,7 +209,7 @@ def test_multiset_scan_matches_labeled_scan(p, q):
 
 @pytest.mark.parametrize("p,q", [(3, 3), (4, 3), (6, 2), (4, 4), (3, 5), (14, 1)])
 def test_multiset_weights_count_distinct_arrangements(p, q):
-    rows = _multisets(p, q)
+    rows = _multisets(p, q, 0)
     weights = _weights(rows)
     assert int(weights.sum()) == ((1 << q) - 1) ** p
     assert (np.diff(rows.astype(int), axis=0) >= 0).all()
@@ -196,6 +217,23 @@ def test_multiset_weights_count_distinct_arrangements(p, q):
         arrangements = list(_arrangements(tuple(col)))
         assert len(arrangements) == len(set(arrangements)) == w
         assert all(sorted(a) == col for a in arrangements)
+
+
+@pytest.mark.parametrize("p,q", _SHAPES_20)
+def test_multiset_alphabet_pruned_by_edge_threshold(p, q):
+    # a row lighter than e0 - (p - 1) * q is in no multiset reaching e0
+    whole = _multisets(p, q, 0)
+    claimed = set()
+    for r in (1, 2, 3):
+        try:
+            claimed.add(lemma6_max(p, q, r).claimed_max)
+        except DomainError:
+            pass
+    for e0 in sorted({0, p * q} | claimed):
+        pruned = _multisets(p, q, e0)
+        assert pruned.shape[1] <= whole.shape[1]
+        expected = whole[:, _survivors(whole, q, e0)[0]]
+        assert np.array_equal(pruned[:, _survivors(pruned, q, e0)[0]], expected), e0
 
 
 @pytest.mark.parametrize("p,q,r", [(5, 3, 2), (4, 4, 1), (8, 3, 3), (7, 4, 2), (14, 2, 1)])
