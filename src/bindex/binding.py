@@ -82,6 +82,7 @@ def _rank_table(n: int) -> np.ndarray:
 
 
 _RANK = [_rank_table(n) for n in range(_BRUTE_MAX + 1)]
+_REV10 = tuple(int(f"{i:010b}"[::-1], 2) for i in range(1 << 10))  # 10-bit reversals
 
 
 @dataclass(frozen=True)
@@ -548,6 +549,20 @@ def binding_number(g: Graph) -> BindingResult:
     return binding_number_flow(g)
 
 
+def _lex_key(s: int) -> int:
+    """Sort key of a nonempty set of at most 20 (_SETS_MAX) vertices that
+    orders sets as vertices_of does.
+
+    It is the set's position in the lex order of the nonempty subsets of
+    20 vertices, less 2^20. Up to S come its |S| prefixes, S included,
+    and, for each v < max S outside S, the 2^(19 - v) sets that agree
+    with S below v and take v next. Those terms sum to |S| + 2^20
+    - 2^(19 - max S) - rev(S), where rev is the 20-bit reversal.
+    """
+    rev = _REV10[s & 1023] << 10 | _REV10[s >> 10]
+    return s.bit_count() - (1 << (20 - s.bit_length())) - rev
+
+
 def _binding_sets_many(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, list[int]]]:
     """(g, binding_sets_all(g)) for each of graphs, all of one order n <= 20.
 
@@ -586,7 +601,7 @@ def _binding_sets_many(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, list[in
                     found[i] += sets[start:end]
                 start = end
         for g, sets in zip(block, found):
-            sets.sort(key=vertices_of)
+            sets.sort(key=_lex_key)
             yield g, sets
 
 

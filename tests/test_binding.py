@@ -14,6 +14,7 @@ from bindex.binding import (
     BindingResult,
     _better,
     _binding_sets_many,
+    _lex_key,
     _sole_minimiser,
     _threshold_plan,
     _ThresholdPlan,
@@ -170,6 +171,19 @@ def test_binding_sets_many_one_graph_per_block_above_16():
         expected = [_brute_oracle(g)[2] for g in graphs]
         assert _sets_of_stack(graphs) == expected, n
         assert [binding_sets_all(g) for g in graphs] == expected, n
+
+
+def test_lex_key_orders_sets_as_vertices_of():
+    every = list(range(1, 1 << 10))  # every nonempty set for n <= 10
+    assert sorted(every, key=_lex_key) == sorted(every, key=vertices_of)
+    rng = random.Random(5230)
+    for _ in range(200):
+        sets = [rng.randrange(1, 1 << 20) for _ in range(rng.randint(2, 40))]
+        # prefixes and near neighbours of a set, the cases a numeric order gets wrong
+        s = sets[0]
+        sets += [s & ((1 << rng.randint(1, 20)) - 1) or 1, s | 1 << rng.randrange(20), s ^ 1]
+        assert sorted(sets, key=_lex_key) == sorted(sets, key=vertices_of)
+    assert sorted([(1 << 20) - 1, 1 << 19, 1], key=_lex_key) == [1, (1 << 20) - 1, 1 << 19]
 
 
 def test_binding_sets_many_rejects_mixed_orders_and_large_n():

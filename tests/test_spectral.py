@@ -68,20 +68,26 @@ def test_power_iteration_deterministic():
     assert spectral_radius_power(g) == spectral_radius_power(g)
 
 
+def _adjacency(g, comp):
+    verts = vertices_of(comp)
+    return np.array([[float(g.adj[v] >> w & 1) for w in verts] for v in verts])
+
+
+def _warm_start(a):
+    x = np.abs(np.linalg.eigh(a)[1][:, -1])
+    return x / float(np.linalg.norm(x))
+
+
 def _radius_with_linalg_norm(g, tol=1e-12):
-    """spectral_radius_power with both norms taken by np.linalg.norm,
+    """spectral_radius_power with every norm taken by np.linalg.norm,
     each step allocating its result; ConvergenceError at the cap."""
     best = 0.0
     for comp in g.components():
-        verts = vertices_of(comp)
-        k = len(verts)
+        k = comp.bit_count()
         if k == 1:
             continue
-        a = np.zeros((k, k))
-        for i, v in enumerate(verts):
-            for j, w in enumerate(verts):
-                a[i, j] = float(g.adj[v] >> w & 1)
-        x = np.ones(k) / np.sqrt(k)
+        a = _adjacency(g, comp)
+        x = _warm_start(a) if k <= spectral._WARM_MAX else np.ones(k) / np.sqrt(k)
         for _ in range(spectral._POWER_CAP):
             y = a @ x + x
             lam = float(x @ y)
@@ -95,7 +101,8 @@ def _radius_with_linalg_norm(g, tol=1e-12):
 
 
 def test_power_iteration_bit_identical_to_linalg_norm_loop():
-    # every family_grid shape for r <= 5, n <= 20, plus a disconnected graph
+    # every family_grid shape for r <= 5, n <= 20, a disconnected graph, and
+    # graphs with a component above _WARM_MAX, which start from all ones
     graphs = [disjoint_union(complete_bipartite(3, 5), double_nested(BipartitionSpec((2, 3), (1, 2))))]
     for r in range(1, 6):
         for n in range(r + 3, 21):
@@ -104,6 +111,15 @@ def test_power_iteration_bit_identical_to_linalg_norm_loop():
             if n >= r + 5:
                 cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
             graphs += [c.graph for c in cs]
+    large = [
+        bipartite_extremal_K(30, 2).graph,
+        bipartite_extremal_D(33, 1).graph,
+        general_extremal(40, 3).graph,
+        path(25),
+        disjoint_union(path(7), bipartite_extremal_K(26, 1).graph),
+    ]
+    assert all(max(c.bit_count() for c in g.components()) > spectral._WARM_MAX for g in large)
+    graphs += large
     assert len(graphs) > 380
     for g in graphs:
         for tol in (1e-6, 1e-9, 1e-12, 1e-14):
@@ -122,6 +138,7 @@ def test_power_iteration_tol_validation():
 
 def test_power_iteration_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_POWER_CAP", 3)
+    monkeypatch.setattr(spectral, "_WARM_MAX", 0)  # the all-ones start
     with pytest.raises(ConvergenceError) as ei:
         spectral_radius_power(path(12), tol=1e-15)
     assert isinstance(ei.value.estimate, float)
@@ -129,6 +146,24 @@ def test_power_iteration_cap(monkeypatch):
     with pytest.raises(ConvergenceError) as ref:
         _radius_with_linalg_norm(path(12), tol=1e-15)
     assert ei.value.estimate == ref.value.estimate
+
+
+def test_power_iteration_cap_on_the_warm_start(monkeypatch):
+    # the eigh start is an eigenvector up to rounding, so only a tol below
+    # the float residual floor keeps the loop from stopping at step one
+    g, tol = path(12), 1e-300
+    assert 12 <= spectral._WARM_MAX
+    x = _warm_start(a := _adjacency(g, g.mask_all))
+    y = a @ x + x
+    lam = float(x @ y)
+    assert 0 < float(np.linalg.norm(y - lam * x)) < 1e-14 * lam
+    monkeypatch.setattr(spectral, "_POWER_CAP", 3)
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_radius_power(g, tol=tol)
+    with pytest.raises(ConvergenceError) as ref:
+        _radius_with_linalg_norm(g, tol=tol)
+    assert ei.value.estimate == ref.value.estimate
+    assert abs(ei.value.estimate - 2 * math.cos(math.pi / 13)) < 1e-14
 
 
 def test_quotient_matrix():
@@ -391,3 +426,25 @@ def test_certified_matches_power_on_family_grid():
         for c in (general_extremal(n, r), bipartite_extremal_D(n, r)):
             iv = certified_radius(c.graph, c.blocks)
             assert iv.contains(spectral_radius_power(c.graph), 1e-8)
+
+
+def test_warm_and_all_ones_starts_agree_on_the_construction_grid(monkeypatch):
+    # acceptance criterion 6's grid: r <= 5, n <= 60, 1075 graphs, each
+    # started from both vectors whatever its order
+    graphs = []
+    for r in range(1, 6):
+        for n in range(r + 3, 61):
+            if n >= r + 4:
+                graphs.append(general_extremal(n, r))
+            graphs.append(bipartite_extremal_K(n, r))
+            if n >= r + 5:
+                graphs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
+    assert len(graphs) == 1075
+    for c in graphs:
+        monkeypatch.setattr(spectral, "_WARM_MAX", c.graph.n)
+        warm = spectral_radius_power(c.graph)
+        monkeypatch.setattr(spectral, "_WARM_MAX", 0)
+        ones = spectral_radius_power(c.graph)
+        assert abs(warm - ones) <= 1e-12 * ones, (c.label, warm, ones)
+        iv = certified_radius(c.graph, c.blocks)
+        assert iv.contains(warm, 1e-8) and iv.contains(ones, 1e-8), c.label
