@@ -131,7 +131,7 @@ def spectral_radius_power(g: Graph, tol: float = 1e-12) -> float:
     shape bipartite_extremal_K(512, 2) = K_{342,170} takes 3203 steps,
     0.46 s. For K_{683,341}, n = 1024, the float residual stays at
     1.14e-12 * rho, above tol, so the loop runs to _POWER_CAP and raises
-    ConvergenceError after 55 s; a larger tol settles it.
+    ConvergenceError after 55 s; tol = 1e-11 settles it in about 2 s.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be positive and finite")

@@ -101,8 +101,9 @@ def _radius_with_linalg_norm(g, tol=1e-12):
 
 
 def test_power_iteration_bit_identical_to_linalg_norm_loop():
-    # every family_grid shape for r <= 5, n <= 20, a disconnected graph, and
-    # graphs with a component above _WARM_MAX, which start from all ones
+    # every family_grid shape for r <= 5, n <= 20, a disconnected graph,
+    # shapes of order _WARM_MAX, and graphs with a component above it, which
+    # start from all ones
     graphs = [disjoint_union(complete_bipartite(3, 5), double_nested(BipartitionSpec((2, 3), (1, 2))))]
     for r in range(1, 6):
         for n in range(r + 3, 21):
@@ -111,6 +112,11 @@ def test_power_iteration_bit_identical_to_linalg_norm_loop():
             if n >= r + 5:
                 cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
             graphs += [c.graph for c in cs]
+    graphs += [
+        build(spectral._WARM_MAX, r).graph
+        for build in (bipartite_extremal_K, general_extremal, bipartite_extremal_D)
+        for r in (1, 2, 3)
+    ]
     large = [
         bipartite_extremal_K(30, 2).graph,
         bipartite_extremal_D(33, 1).graph,
