@@ -82,7 +82,6 @@ def _rank_table(n: int) -> np.ndarray:
 
 
 _RANK = [_rank_table(n) for n in range(_BRUTE_MAX + 1)]
-_REV10 = tuple(int(f"{i:010b}"[::-1], 2) for i in range(1 << 10))  # 10-bit reversals
 
 
 @dataclass(frozen=True)
@@ -557,10 +556,11 @@ def _lex_key(s: int) -> int:
     20 vertices, less 2^20. Up to S come its |S| prefixes, S included,
     and, for each v < max S outside S, the 2^(19 - v) sets that agree
     with S below v and take v next. Those terms sum to |S| + 2^20
-    - 2^(19 - max S) - rev(S), where rev is the 20-bit reversal.
+    - 2^(19 - max S) - rev(S), where rev is the 20-bit reversal: the
+    binary digits of S reversed, shifted up by 19 - max S.
     """
-    rev = _REV10[s & 1023] << 10 | _REV10[s >> 10]
-    return s.bit_count() - (1 << (20 - s.bit_length())) - rev
+    shift = 20 - s.bit_length()
+    return s.bit_count() - (1 << shift) - (int(bin(s)[:1:-1], 2) << shift)
 
 
 def _binding_sets_many(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, list[int]]]:

@@ -1,12 +1,11 @@
 """Spectral radius: floating power iteration plus exact certification.
 
 Estimate path: power iteration on A + I per component, stopped when the
-residual falls to tol * rho. Components of order at most _WARM_MAX start
-from the absolute value of numpy's eigh eigenvector for the largest
-eigenvalue, so the loop usually stops after one step; larger ones start
-from all ones. eigh only seeds the loop: the estimate is always the
-loop's Rayleigh quotient, with the loop's residual bound, and no float
-decides a verdict.
+residual falls to tol * rho. Every component starts from the absolute
+value of numpy's eigh eigenvector for the largest eigenvalue, so the
+loop usually stops after one step. eigh only seeds the loop: the
+estimate is always the loop's Rayleigh quotient, with the loop's
+residual bound, and no float decides a verdict.
 
 Certification path: equitable quotient matrix -> integer characteristic
 polynomial by Faddeev-LeVerrier, whose divisions are exact ->
@@ -42,16 +41,6 @@ from .polynomials import (
 )
 
 _POWER_CAP = 200_000
-# Largest component order started from eigh's eigenvector: the measured
-# crossover. On a 2-vCPU x86-64 box, best of 40 interleaved calls at tol
-# 1e-12, median over 5 graphs, eigh plus the loop took 0.82-0.96x the
-# all-ones loop's time at k = 24 on G(k, 0.5) and general_extremal, and
-# 0.94-1.11x at k = 28-32. It was 2-50x faster up to k = 48 on the
-# near-bipartite K and D shapes and on paths, and 1.3-4x faster on
-# G(k, 0.3) up to k = 32. It is slower on regular components, where all
-# ones is already the Perron vector (2.6-3.7x, 60-120 us, at k = 16-24),
-# and by about 12 us on every kind at k = 4.
-_WARM_MAX = 24
 
 
 class ConvergenceError(RuntimeError):
@@ -69,11 +58,11 @@ class EquitabilityError(DomainError):
 def _component_radius(g: Graph, comp: int, tol: float) -> float:
     """Perron root of one component by power iteration on A + I.
 
-    A component of order k <= _WARM_MAX starts from |v| / ||v||, v the
-    eigenvector eigh gives for the largest eigenvalue of A: the Perron
-    vector up to rounding, which the loop then accepts or refines. Larger
-    components start from all ones, at a rate of (rho - 1)/(rho + 1) per
-    step on near-bipartite shapes.
+    The start is |v| / ||v||, v the eigenvector eigh gives for the
+    largest eigenvalue of A: the Perron vector up to rounding, which the
+    loop then accepts or refines. From all ones the loop gains only a
+    factor (rho - 1)/(rho + 1) per step on near-bipartite shapes, and
+    can stall above tol before it gets there (see spectral_radius_power).
 
     The loop runs in two preallocated buffers: x holds the iterate and
     then the residual, y the product. Every step is the float operation
@@ -95,11 +84,8 @@ def _component_radius(g: Graph, comp: int, tol: float) -> float:
             low = row & -row
             a[pos[v], pos[low.bit_length() - 1]] = 1.0
             row ^= low
-    if k <= _WARM_MAX:
-        x = np.abs(np.linalg.eigh(a)[1][:, -1])
-        x /= math.sqrt(float(x @ x))
-    else:
-        x = np.ones(k) / np.sqrt(k)
+    x = np.abs(np.linalg.eigh(a)[1][:, -1])
+    x /= math.sqrt(float(x @ x))
     # shift by +I: keeps the dominant eigenvalue simple in magnitude even
     # on bipartite components, where the plain spectrum is symmetric
     y = np.empty(k)
@@ -121,17 +107,19 @@ def _component_radius(g: Graph, comp: int, tol: float) -> float:
 def spectral_radius_power(g: Graph, tol: float = 1e-12) -> float:
     """rho(G) = max Perron root over components, by power iteration.
 
-    Deterministic start: eigh's top eigenvector made nonnegative for
-    components of order <= _WARM_MAX, all ones above. Whatever the start,
-    the estimate is the loop's Rayleigh quotient, and for symmetric A its
-    error is bounded by the residual norm, which the stopping rule pins
-    to tol*rho.
+    Deterministic start: eigh's top eigenvector made nonnegative, on
+    every component. Whatever the start, the estimate is the loop's
+    Rayleigh quotient, and for symmetric A its error is bounded by the
+    residual norm, which the stopping rule pins to tol*rho.
 
-    Worst case above _WARM_MAX (2-vCPU x86-64 box, tol 1e-12): the K
-    shape bipartite_extremal_K(512, 2) = K_{342,170} takes 3203 steps,
-    0.46 s. For K_{683,341}, n = 1024, the float residual stays at
-    1.14e-12 * rho, above tol, so the loop runs to _POWER_CAP and raises
-    ConvergenceError after 55 s; tol = 1e-11 settles it in about 2 s.
+    Cost (2-vCPU x86-64 box, tol 1e-12, one call): eigh's O(k^3) bounds
+    it. At k = 1024 the K shape K_{683,341}, G(1024, 1/2), the cycle and
+    the path took 0.35-0.60 s; at k = 2048 1.7-2.7 s, 201 MB peak RSS.
+    The all-ones start is faster where all ones is near the Perron vector
+    (C_256: 0.25 against 7.2 ms; G(512, 1/2): 41 against 81 ms), but its
+    step count has no bound: P_256 took 0.55 s, and on K_{683,341} the
+    float residual stays at 1.14e-12 * rho, above tol, so that loop ran
+    to _POWER_CAP and raised ConvergenceError after 55 s.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be positive and finite")

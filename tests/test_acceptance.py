@@ -8,6 +8,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bindex.binding import binding_number_bruteforce, binding_number_flow
@@ -58,6 +59,20 @@ def _grid_constructions():
             if n >= r + 5:
                 yield n, r, "D", bipartite_extremal_D(n, r, "ceil")
                 yield n, r, "D", bipartite_extremal_D(n, r, "floor")
+
+
+def _all_ones_estimate(g, tol=1e-12):
+    """rho of a connected g by power iteration on A + I from the all-ones
+    start, which spectral_radius_power does not use; same stop rule."""
+    a = np.array([[float(g.adj[v] >> w & 1) for w in range(g.n)] for v in range(g.n)])
+    x = np.ones(g.n) / math.sqrt(g.n)
+    for _ in range(100_000):
+        y = a @ x + x
+        lam = float(x @ y)
+        if float(np.linalg.norm(y - lam * x)) <= tol * lam:
+            return lam - 1.0
+        x = y / float(np.linalg.norm(y))
+    raise AssertionError("the all-ones start did not converge")
 
 
 def test_criterion_1_flow_equals_brute_all_n6():
@@ -143,7 +158,9 @@ def test_criterion_6_spectral_certification():
     t0 = time.monotonic()
     for n, r, kind, c in _grid_constructions():
         iv = certified_radius(c.graph, c.blocks)
-        assert iv.contains(spectral_radius_power(c.graph), 1e-8), (n, r, c.label)
+        rho, ones = spectral_radius_power(c.graph), _all_ones_estimate(c.graph)
+        assert iv.contains(rho, 1e-8) and iv.contains(ones, 1e-8), (n, r, c.label)
+        assert abs(rho - ones) <= 1e-12 * ones, (n, r, c.label, rho, ones)
     checked = 0
     for r in range(1, 6):
         for n in range(r + 4, 61):

@@ -160,8 +160,7 @@ def test_exit_two_on_malformed_graph6(capsys):
 
 
 def test_spectral_nonconvergence_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "_POWER_CAP", 1)
-    monkeypatch.setattr(spectral, "_WARM_MAX", 0)  # the all-ones start
+    monkeypatch.setattr(spectral, "_POWER_CAP", 0)
     assert run(["spectral", "--g6", "Bg"]) == 2
     assert capsys.readouterr().err.startswith("error: power iteration did not converge")
 

