@@ -64,14 +64,15 @@ def _grid_constructions():
 def _all_ones_estimate(g, tol=1e-12):
     """rho of a connected g by power iteration on A + I from the all-ones
     start, which spectral_radius_power does not use; same stop rule."""
-    a = np.array([[float(g.adj[v] >> w & 1) for w in range(g.n)] for v in range(g.n)])
+    a = np.array([[g.adj[v] >> w & 1 for w in range(g.n)] for v in range(g.n)], dtype=float)
     x = np.ones(g.n) / math.sqrt(g.n)
     for _ in range(100_000):
         y = a @ x + x
         lam = float(x @ y)
-        if float(np.linalg.norm(y - lam * x)) <= tol * lam:
+        d = y - lam * x
+        if math.sqrt(d @ d) <= tol * lam:
             return lam - 1.0
-        x = y / float(np.linalg.norm(y))
+        x = y / math.sqrt(y @ y)
     raise AssertionError("the all-ones start did not converge")
 
 
