@@ -112,9 +112,10 @@ def spectral_radius_power(g: Graph, tol: float = 1e-12) -> float:
     Rayleigh quotient, and for symmetric A its error is bounded by the
     residual norm, which the stopping rule pins to tol*rho.
 
-    Cost (2-vCPU x86-64 box, tol 1e-12, one call): eigh's O(k^3) bounds
-    it. At k = 1024 the K shape K_{683,341}, G(1024, 1/2), the cycle and
-    the path took 0.35-0.60 s; at k = 2048 1.7-2.7 s, 201 MB peak RSS.
+    Cost (2-vCPU x86-64 box, tol 1e-12, one call): eigh's O(k^3), as the
+    loop then stopped after one step on every graph measured. At k = 1024
+    the K shape K_{683,341}, G(1024, 1/2), the cycle and the path took
+    0.35-0.60 s; at k = 2048 1.7-2.7 s, 201 MB peak RSS.
     The all-ones start is faster where all ones is near the Perron vector
     (C_256: 0.25 against 7.2 ms; G(512, 1/2): 41 against 81 ms), but its
     step count has no bound: P_256 took 0.55 s, and on K_{683,341} the
