@@ -1,19 +1,25 @@
 """Integer polynomials with certified real root isolation.
 
 Coefficients are stored ascending (coeffs[i] multiplies x^i) and printed
-descending. Everything below runs on plain ints:
+descending. Everything that decides runs on plain ints:
 
 - gcds, square-free parts and Sturm chains come from a primitive
-  pseudo-remainder sequence; each remainder is taken up to a positive
-  integer factor and divided by its content, so signs, and with them the
-  Sturm counts, are those of the exact rational remainders;
-- bisection keeps its bracket as integers a/2^e, b/2^e over one shared
-  power of two and reads signs from integer Horner evaluation. Sturm
-  counts steer it until one root is left; after that the sign of the
-  square-free part at the midpoint against its sign at lo decides.
+  pseudo-remainder sequence (PRS); each remainder is taken up to a
+  positive integer factor and divided by its content, so signs, and with
+  them the Sturm counts, are those of the exact rational remainders. A
+  square-free polynomial needs one PRS: its own Sturm chain ends in a
+  constant and is the chain of its square-free part;
+- brackets are integers a/2^e, b/2^e over one shared power of two, and
+  signs come from integer Horner evaluation. A float Newton guess of the
+  largest root picks the 2^-40 cell that bisection would end on, and
+  integer signs and Sturm counts certify that cell before it is used.
+  The float only chooses which cell to check: when a check fails,
+  bisection from (0, B] runs instead. Sturm counts steer it until one
+  root is left; after that the sign of the square-free part at the
+  midpoint against its sign at lo decides.
 
-Fractions appear only in the returned RootInterval, floats only in its
-convenience accessors.
+Fractions appear only in the returned RootInterval. Floats appear in its
+convenience accessors and in the Newton guess, which never decides.
 
 largest_real_root searches [0, B] with B a Cauchy bound, which covers
 every Perron root of a nonnegative matrix; polynomials whose real roots
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isfinite
 from typing import Sequence, Union
 
 from .graph import DomainError
@@ -221,6 +227,23 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return [q for q in chain if q]
 
 
+def _squarefree_chain(p: IntPolynomial) -> tuple[IntPolynomial, list[IntPolynomial]]:
+    """Square-free part of p (primitive, positive leading coefficient) and its Sturm chain.
+
+    The chain of p itself ends in gcd(p, p') up to a constant. When that is
+    a constant, p is square-free, its square-free part is p made primitive,
+    and the chain is already the one of that part: one PRS instead of two.
+    """
+    q = p.primitive()
+    if q and q.lead < 0:
+        q = -q
+    chain = sturm_chain(q)
+    if not chain or chain[-1].degree < 1:
+        return q, chain
+    sf = squarefree_part(p)
+    return sf, sturm_chain(sf)
+
+
 def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
     """Sign changes along the chain (coefficient tuples) at a/b."""
     signs = [s for s in (_sign_at(cs, a, b) for cs in chain) if s != 0]
@@ -270,13 +293,16 @@ class RootInterval:
 
     def verify(self) -> bool:
         """Recheck the certificate from scratch."""
-        sf = squarefree_part(self.poly)
+        sf, chain = _squarefree_chain(self.poly)
+        bound = _cauchy_bound(sf)
         if self.exact:
-            return sf.sign_at(self.lo) == 0
+            if sf.sign_at(self.lo) != 0:
+                return False
+            # the root is the largest when sf / (den*x - num) has no root above it
+            rest = IntPolynomial(_exact_quo(sf.coeffs, (-self.lo.numerator, self.lo.denominator)))
+            return rest.degree < 1 or count_roots(sturm_chain(rest), self.lo, bound) == 0
         if sf.sign_at(self.lo) == 0 or sf.sign_at(self.hi) == 0:
             return False
-        chain = sturm_chain(sf)
-        bound = _cauchy_bound(sf)
         if self.hi < bound and count_roots(chain, self.hi, bound) != 0:
             return False
         return count_roots(chain, self.lo, self.hi) == 1
@@ -288,6 +314,34 @@ def _cauchy_bound(p: IntPolynomial) -> int:
     return 1 + (top + lead - 1) // lead
 
 
+def _newton_guess(coeffs: Sequence[int], bound: int, steps: int) -> Union[float, None]:
+    """Float Newton iterate from bound down toward the largest real root.
+
+    Stops when an iterate no longer falls. None on float overflow, a zero
+    derivative, a non-finite step, or no stop within steps (the number of
+    bisection steps the guess is meant to save).
+    """
+    try:
+        cs = [float(c) for c in reversed(coeffs)]
+        x = float(bound)
+    except OverflowError:
+        return None
+    for _ in range(steps):
+        p = dp = 0.0
+        for c in cs:
+            dp = dp * x + p
+            p = p * x + c
+        if dp == 0:
+            return None
+        nx = x - p / dp
+        if not isfinite(nx):
+            return None
+        if nx >= x:
+            return x
+        x = nx
+    return None
+
+
 class _Isolator:
     """Bisection state for the largest nonnegative real root of one poly.
 
@@ -295,6 +349,9 @@ class _Isolator:
     is (lo/den, hi/den]. While bisecting, den is a power of two and each
     step doubles it; an exact root may have any denominator. slo is the
     sign of sf at lo/den, which is never a root of sf.
+
+    A fresh isolator first tries to land on the bracket that refine's
+    bisection would end on (see _land); steps then go on from there.
     """
 
     __slots__ = ("orig", "sf", "chain", "lo", "hi", "den", "vlo", "vhi", "slo", "exact")
@@ -303,11 +360,11 @@ class _Isolator:
         if p.degree < 1:
             raise DomainError("constant polynomial has no roots")
         self.orig = p
-        sf = squarefree_part(p)
-        # factor out a root at 0 so Sturm endpoints stay off the roots
-        root_at_zero = sf.coeffs[0] == 0
-        if root_at_zero:
-            sf = IntPolynomial(sf.coeffs[1:])
+        # factor out x^m so Sturm endpoints stay off the roots: the
+        # square-free part of the rest is that of p divided by x
+        zeros = next(i for i, c in enumerate(p.coeffs) if c)
+        root_at_zero = zeros > 0
+        sf, chain = _squarefree_chain(IntPolynomial(p.coeffs[zeros:]))
         self.exact = False
         if sf.degree < 1:
             if not root_at_zero:
@@ -326,7 +383,7 @@ class _Isolator:
                 self._set_exact(0, 1)
                 return
             raise DomainError("no real root in the nonnegative range")
-        chain = [q.coeffs for q in sturm_chain(sf)]
+        chain = [q.coeffs for q in chain]
         bound = _cauchy_bound(sf)
         vlo = _variations(chain, 0, 1)
         vhi = _variations(chain, bound, 1)
@@ -341,6 +398,44 @@ class _Isolator:
         self.vlo = vlo
         self.vhi = vhi
         self.slo = _sign_at(self.sf, 0, 1)
+        self._land(bound)
+
+    def _land(self, bound: int) -> None:
+        """Move (0, B] straight to the bracket where refine's bisection stops.
+
+        Every bisection bracket is (i*B, (i+1)*B] / 2^level, and refine stops
+        at the first level with 2^level > B * 2^40 at which one root is
+        left, that is at level k = B.bit_length() + 40 if the level-k cell
+        of the largest root rho holds no other root. A float Newton guess
+        of rho picks a level-k cell; it is used only when integers certify
+        it: sf is nonzero at both ends, V(hi) = V(B) (no root above hi) and
+        V(lo) - V(hi) = 1 (one root inside), V counting sign changes along
+        the Sturm chain. Then rho is inside the open cell, so it is on no
+        dyadic grid point up to level k and bisection never meets it at a
+        midpoint. Bisection may meet a smaller root there; the exact-root
+        branch of step then moves the bracket up, as an upper step does.
+        So bisection descends through the cells that contain rho and stops
+        on this one. When any check fails (float overflow, a non-finite or
+        zero-derivative Newton step, a guess one cell off, two roots in one
+        cell, rho on the grid) the state stays at (0, B] and refine bisects.
+        """
+        k = bound.bit_length() + _WIDTH_BITS
+        guess = _newton_guess(self.sf, bound, k)
+        if guess is None:
+            return
+        num, fden = guess.as_integer_ratio()
+        i = (num << k) // (fden * bound)
+        if not 0 <= i < 1 << k:
+            return
+        lo, hi, den = i * bound, (i + 1) * bound, 1 << k
+        slo = _sign_at(self.sf, lo, den)
+        if slo == 0 or _sign_at(self.sf, hi, den) == 0:
+            return
+        vhi = _variations(self.chain, hi, den)
+        if vhi != self.vhi or _variations(self.chain, lo, den) != vhi + 1:
+            return
+        self.lo, self.hi, self.den = lo, hi, den
+        self.vlo, self.slo = vhi + 1, slo
 
     def _set_exact(self, num: int, den: int) -> None:
         self.exact = True
@@ -417,14 +512,18 @@ def compare_largest_roots(pa: IntPolynomial, pb: IntPolynomial) -> int:
     """Certified comparison of largest nonnegative real roots: -1, 0, or 1.
 
     Equality is recognized through a root of gcd(pa, pb) inside the
-    overlap of the two brackets; disjoint brackets decide order. Never
-    consults floating point.
+    overlap of the two brackets; disjoint brackets decide order. No float
+    decides: both brackets are certified by integer signs and Sturm counts.
     """
     ia, ib = _Isolator(pa), _Isolator(pb)
     ia.refine()
     ib.refine()
-    g = poly_gcd(squarefree_part(pa), squarefree_part(pb))
-    gchain = [q.coeffs for q in sturm_chain(g)] if g.degree >= 1 else None
+    gchain = None
+    if not (ia.exact or ib.exact):
+        # the isolators' square-free parts keep every root above the brackets' lower ends
+        g = poly_gcd(IntPolynomial(ia.sf), IntPolynomial(ib.sf))
+        if g.degree >= 1:
+            gchain = [q.coeffs for q in sturm_chain(g)]
     while True:
         # both brackets over the common denominator ia.den * ib.den
         alo, ahi = ia.lo * ib.den, ia.hi * ib.den
@@ -445,7 +544,8 @@ def compare_largest_roots(pa: IntPolynomial, pb: IntPolynomial) -> int:
             olo = max(alo, blo)
             ohi = min(ahi, bhi)
             den = ia.den * ib.den
-            if olo < ohi and _sign_at(g.coeffs, olo, den) != 0 and _sign_at(g.coeffs, ohi, den) != 0:
+            g = gchain[0]
+            if olo < ohi and _sign_at(g, olo, den) != 0 and _sign_at(g, ohi, den) != 0:
                 if _variations(gchain, olo, den) - _variations(gchain, ohi, den) >= 1:
                     return EQUAL
         for _ in range(4):

@@ -9,8 +9,9 @@ residual bound, and no float decides a verdict.
 
 Certification path: equitable quotient matrix -> integer characteristic
 polynomial by Faddeev-LeVerrier, whose divisions are exact ->
-Sturm-certified root interval by integer bisection (see polynomials). A
-connected graph shares its spectral radius with any equitable quotient,
+Sturm-certified root interval (see polynomials: a float Newton guess
+picks the final cell, integer signs and Sturm counts certify it, and
+integer bisection runs when they do not). A connected graph shares its spectral radius with any equitable quotient,
 so certified comparisons of radii reduce to compare_largest_roots on
 integer polynomials.
 

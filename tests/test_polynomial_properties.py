@@ -1,4 +1,4 @@
-"""Property tests (need hypothesis): root comparison, graph6, flow = brute."""
+"""Property tests (need hypothesis): root brackets and comparison, graph6, flow = brute."""
 
 import pytest
 
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from bindex.binding import binding_number_bruteforce, binding_number_flow
 from bindex.codec import graph6_decode, graph6_encode
 from bindex.graph import Graph
-from bindex.polynomials import EQUAL, LESS, IntPolynomial, compare_largest_roots
+from bindex.polynomials import EQUAL, LESS, IntPolynomial, compare_largest_roots, largest_real_root
+from test_polynomials import _bisection
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -22,6 +23,13 @@ def with_nonnegative_root(draw):
     num = draw(st.integers(0, 40))
     den = draw(st.integers(1, 6))
     return IntPolynomial([-num, den]) * draw(nonzero)
+
+
+@_SETTINGS
+@given(with_nonnegative_root())
+def test_largest_root_is_the_bisection_bracket(p):
+    iv = largest_real_root(p)
+    assert (iv.lo, iv.hi) == _bisection(p)
 
 
 @_SETTINGS

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bindex.constructions import bipartite_extremal_D, bipartite_extremal_K, general_extremal
 from bindex.graph import DomainError
 from bindex.polynomials import (
     EQUAL,
@@ -12,6 +13,7 @@ from bindex.polynomials import (
     LESS,
     IntPolynomial,
     RootInterval,
+    _Isolator,
     compare_largest_roots,
     count_roots,
     largest_real_root,
@@ -19,7 +21,7 @@ from bindex.polynomials import (
     squarefree_part,
     sturm_chain,
 )
-from bindex.spectral import family_parameters, family_polynomial
+from bindex.spectral import charpoly, family_parameters, family_polynomial, quotient_matrix
 
 x = IntPolynomial([0, 1])
 
@@ -148,6 +150,11 @@ def test_root_interval_verify_rejects_lies():
     # an interval holding both roots of (x-1)(x-3) is not a certificate
     q = IntPolynomial([3, -4, 1])
     assert not RootInterval(q, Fraction(0), Fraction(4)).verify()
+    # an exact root is a certificate only when it is the largest
+    assert not RootInterval(q, Fraction(1), Fraction(1)).verify()
+    assert RootInterval(q, Fraction(3), Fraction(3)).verify()
+    assert RootInterval(q * q * IntPolynomial([0, 1]), Fraction(3), Fraction(3)).verify()
+    assert not RootInterval(IntPolynomial([0, -1, 1]), Fraction(0), Fraction(0)).verify()
 
 
 # (coefficients, lo, hi) of largest_real_root, frozen from the Fraction
@@ -343,3 +350,109 @@ def test_largest_root_matches_sympy_on_printed_families():
     for name, p in _family_instances():
         seen[name] = seen.get(name, 0) + _check_against_sympy(sympy, p)
     assert len(seen) == 16 and all(seen.values())
+
+
+def _bisection(p):
+    """(lo, hi) of plain Fraction bisection from (0, B], or None: the oracle.
+
+    B is the Cauchy bound of the square-free part with any root at 0
+    divided out. The bracket (lo, hi] is halved until it is narrower than
+    2^-40 and holds one root; a midpoint with no root above it that is
+    itself a root ends the search exactly. At a root c of a square-free
+    polynomial the Sturm chain has as many sign changes as just above c,
+    so counts from a root lo are counts over (lo, hi].
+    """
+    if p.degree < 1:
+        return None
+    sf = squarefree_part(p)
+    zero = sf.coeffs[0] == 0
+    if zero:
+        sf = IntPolynomial(sf.coeffs[1:])
+    if sf.degree == 1 and sf.coeffs[0] < 0:
+        root = Fraction(-sf.coeffs[0], sf.coeffs[1])
+        return root, root
+    lo, hi = Fraction(0), Fraction(1 + -(-max(abs(c) for c in sf.coeffs) // sf.lead))
+    chain = sturm_chain(sf)
+    if sf.degree < 2 or count_roots(chain, lo, hi) == 0:
+        return (lo, lo) if zero else None
+    while hi - lo >= Fraction(1, 2 ** 40) or count_roots(chain, lo, hi) != 1:
+        mid = (lo + hi) / 2
+        if count_roots(chain, mid, hi) > 0:
+            lo = mid
+        elif sf.sign_at(mid) == 0:
+            return mid, mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _quotient_charpolys():
+    """Quotient charpolys of the extremal constructions, n <= 18 and r <= 5."""
+    for r in range(1, 6):
+        for n in range(r + 3, 19):
+            cs = [bipartite_extremal_K(n, r)]
+            if n >= r + 4:
+                cs.append(general_extremal(n, r))
+            if n >= r + 5:
+                cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
+            for c in cs:
+                yield charpoly(quotient_matrix(c.graph, c.blocks))
+
+
+def _bracket(p):
+    try:
+        iv = largest_real_root(p)
+    except DomainError:
+        return None
+    return iv.lo, iv.hi
+
+
+def test_largest_root_is_the_bisection_bracket():
+    polys = [IntPolynomial(coeffs) for coeffs, _, _ in ROOTS]
+    polys += _seeded_polynomials(2039, 120) + _seeded_polynomials(61, 2400)
+    polys += [p for _, p in _family_instances()]
+    polys += list(_quotient_charpolys())
+    assert len(polys) > 3000
+    for p in polys:
+        assert _bracket(p) == _bisection(p), p
+
+
+def _counted_steps(monkeypatch):
+    calls = []
+    step = _Isolator.step
+
+    def counted(self):
+        calls.append(None)
+        step(self)
+
+    monkeypatch.setattr(_Isolator, "step", counted)
+    return calls
+
+
+def test_grid_charpolys_land_without_bisection(monkeypatch):
+    calls = _counted_steps(monkeypatch)
+    for c in (general_extremal(13, 2), bipartite_extremal_D(16, 3), bipartite_extremal_K(14, 1)):
+        p = charpoly(quotient_matrix(c.graph, c.blocks))
+        del calls[:]
+        assert _bracket(p) == _bisection(p)
+        assert not calls, c.label
+
+
+def test_fallbacks_give_the_bisection_bracket(monkeypatch):
+    calls = _counted_steps(monkeypatch)
+    fallbacks = [
+        IntPolynomial([-10 ** 400, 0, 1]),  # float() overflows
+        # sqrt(2) and sqrt(2 + 2^-90): two roots in one 2^-40 cell
+        IntPolynomial([-2, 0, 1]) * IntPolynomial([-(2 ** 91 + 1), 0, 2 ** 90]),
+        # Newton from above meets the complex pair 10 +- i first
+        IntPolynomial([101, -20, 1]) * IntPolynomial([-2, 0, 1]),
+        IntPolynomial([-1, 1, -1, 1]),  # the largest root 1 is a grid point
+    ]
+    for p in fallbacks:
+        del calls[:]
+        assert _bracket(p) == _bisection(p), p
+        assert calls, p
+    # rational roots on bisection midpoints, the largest or below it
+    for coeffs, _, _ in ROOTS[16:26]:
+        p = IntPolynomial(coeffs)
+        assert _bracket(p) == _bisection(p), coeffs
