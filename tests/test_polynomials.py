@@ -446,13 +446,15 @@ def test_fallbacks_give_the_bisection_bracket(monkeypatch):
         IntPolynomial([-2, 0, 1]) * IntPolynomial([-(2 ** 91 + 1), 0, 2 ** 90]),
         # Newton from above meets the complex pair 10 +- i first
         IntPolynomial([101, -20, 1]) * IntPolynomial([-2, 0, 1]),
-        IntPolynomial([-1, 1, -1, 1]),  # the largest root 1 is a grid point
     ]
     for p in fallbacks:
         del calls[:]
         assert _bracket(p) == _bisection(p), p
         assert calls, p
-    # rational roots on bisection midpoints, the largest or below it
-    for coeffs, _, _ in ROOTS[16:26]:
+    # rational roots on bisection midpoints: a smaller one does not stop
+    # the landing, the largest one (row 17) needs bisection
+    for coeffs, lo, hi in ROOTS[16:26]:
         p = IntPolynomial(coeffs)
+        del calls[:]
         assert _bracket(p) == _bisection(p), coeffs
+        assert bool(calls) == (lo == hi), coeffs
