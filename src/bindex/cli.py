@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .graph import DomainError, Graph, LimitError, vertices_of
 from .polynomials import RootInterval
-from .spectral import ConvergenceError, spectral_radius_power
+from .spectral import spectral_radius_power
 from .verify import (
     _DEFAULT_SAMPLES,
     _DEFAULT_SEED,
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="spectral radius of a graph")
     graph_input(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     common(p)
 
     p = sub.add_parser("construct", help="build a named construction")
@@ -301,7 +300,7 @@ def _run(args) -> int:
         return 0
     if args.cmd == "spectral":
         g = _read_graph(args)
-        rho = spectral_radius_power(g, tol=args.tol)
+        rho = spectral_radius_power(g)
         _emit(args, f"rho = {rho:.12f}\n")
         return 0
     if args.cmd == "construct":
@@ -360,7 +359,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except (DomainError, LimitError, Graph6Error, ValueError, ConvergenceError) as exc:
+    except (DomainError, LimitError, Graph6Error, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -10,7 +10,7 @@ Edge list: first line "n m", then m lines "u v", 0-indexed.
 
 from __future__ import annotations
 
-from .graph import DomainError, Graph
+from .graph import MAX_VERTICES, DomainError, Graph
 
 _G6_MAX = 258047
 # A 6-bit group's octal digits, low digit first, to its graph6 byte. The
@@ -81,6 +81,8 @@ def graph6_decode(text: str) -> Graph:
         pos = 1
     if n < 1:
         raise Graph6Error("graph6 size 0 not supported here", 0)
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"graph6 size {n} exceeds the vertex cap {MAX_VERTICES}", 0)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos < need:
         raise Graph6Error(

@@ -57,12 +57,14 @@ from .binding import (
 )
 from .codec import graph6_encode
 from .constructions import (
+    Construction,
     beta_value,
+    double_nested_construction,
     family_general,
     lemma6_max,
     theorem6_regime,
 )
-from .graph import BipartitionSpec, DomainError, Graph, LimitError, double_nested
+from .graph import DomainError, Graph, LimitError
 from .polynomials import (
     EQUAL,
     GREATER,
@@ -551,12 +553,12 @@ def _certified_argmax(items: Sequence[tuple[object, IntPolynomial]]):
     return [items[i][0] for i in best]
 
 
-def _family_charpoly(g: Graph, blocks, edges: int, family: str, **params):
-    """(charpoly, None) for a family member, or (None, error) when g misses
+def _family_charpoly(cons: Construction, edges: int, family: str, **params):
+    """(charpoly, None) for a family member, or (None, error) when it misses
     its edge formula or its quotient charpoly misses the transcription."""
-    if g.edge_count() != edges:
+    if cons.edge_count != edges:
         return None, f"edge count does not match the {family} family formula"
-    cp = charpoly(quotient_matrix(g, blocks))
+    cp = charpoly(quotient_matrix(cons.graph, cons.blocks))
     if cp != family_polynomial(family, **params):
         return None, f"quotient charpoly does not match {family} transcription"
     return cp, None
@@ -577,7 +579,7 @@ def scan_family_general(n: int, r: int) -> VerificationReport:
         cons = family_general(n, r, t1)
         clique = n - (r + 1) * t1 - 1
         e = t1 * (t1 - 1) // 2 + clique * (clique - 1) // 2 + t1 * (n - t1)
-        cp, error = _family_charpoly(cons.graph, cons.blocks, e, "f3", n=n, r=r, t1=t1)
+        cp, error = _family_charpoly(cons, e, "f3", n=n, r=r, t1=t1)
         if error:
             return _fail_report(
                 "family_general_scan", {"n": n, "r": r}, cons.graph, t0, error, t1=t1
@@ -692,27 +694,27 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
     t0 = time.monotonic()
     params = {"p": p, "q": q, "r": r}
     rows = []
-    a_polys = []
     a_edges = {}
     for t in range(1, a_tmax + 1):
-        spec = BipartitionSpec((p - r * t - 1, r * t + 1), (t, q - t))
-        g = double_nested(spec)
+        cons = double_nested_construction((p - r * t - 1, r * t + 1), (t, q - t))
         e = p * q + r * t * t + (1 - r * q) * t - q
-        cp, error = _family_charpoly(g, spec.blocks(), e, "g5", p=p, q=q, r=r, t=t)
+        cp, error = _family_charpoly(cons, e, "g5", p=p, q=q, r=r, t=t)
         if error:
-            return _fail_report("bipartite_family_scan", params, g, t0, error, family="A", t=t)
+            return _fail_report(
+                "bipartite_family_scan", params, cons.graph, t0, error, family="A", t=t
+            )
         iv = largest_real_root(cp)
-        a_polys.append((t, cp))
         a_edges[t] = e
         rows.append({"family": "A", "t": t, "edges": e, **_interval_fields(iv)})
     b_edges = {}
     for t in range(1, b_tmax + 1):
-        spec = BipartitionSpec((t, p - t), (q - r * t - 1, r * t + 1))
-        g = double_nested(spec)
+        cons = double_nested_construction((t, p - t), (q - r * t - 1, r * t + 1))
         e = p * q + r * t * t + (1 - r * p) * t - p
-        cp, error = _family_charpoly(g, spec.blocks(), e, "g1", p=p, q=q, r=r, t=t)
+        cp, error = _family_charpoly(cons, e, "g1", p=p, q=q, r=r, t=t)
         if error:
-            return _fail_report("bipartite_family_scan", params, g, t0, error, family="B", t=t)
+            return _fail_report(
+                "bipartite_family_scan", params, cons.graph, t0, error, family="B", t=t
+            )
         iv = largest_real_root(cp)
         b_edges[t] = e
         rows.append({"family": "B", "t": t, "edges": e, **_interval_fields(iv)})
@@ -744,8 +746,9 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
     witness_graphs = []
     if a_edges:
         t_star = min(t for t, e in a_edges.items() if e == max(a_edges.values()))
-        spec = BipartitionSpec((p - r * t_star - 1, r * t_star + 1), (t_star, q - t_star))
-        wg = double_nested(spec)
+        wg = double_nested_construction(
+            (p - r * t_star - 1, r * t_star + 1), (t_star, q - t_star)
+        ).graph
         wb = binding_number_flow(wg).value
         ok = ok and wb < Fraction(1, r)
         checks["winner_binding"] = str(wb)
@@ -777,20 +780,18 @@ def scan_lemma12(n: int, r: int) -> VerificationReport:
     ok = True
     ref = family_polynomial("h2", n=n, r=r)
     for q in range(q_lo, q_hi + 1):
-        spec = BipartitionSpec((n - q - r - 1, r + 1), (1, q - 1))
-        g = double_nested(spec)
+        cons = double_nested_construction((n - q - r - 1, r + 1), (1, q - 1))
         e = (n - q - r - 1) * q + r + 1
-        cp, error = _family_charpoly(g, spec.blocks(), e, "h1", n=n, q=q, r=r)
+        cp, error = _family_charpoly(cons, e, "h1", n=n, q=q, r=r)
         if error:
-            return _fail_report("lemma12_scan", {"n": n, "r": r}, g, t0, error, q=q)
+            return _fail_report("lemma12_scan", {"n": n, "r": r}, cons.graph, t0, error, q=q)
         order = compare_radii(cp, ref)
         iv = largest_real_root(cp)
         rows.append({"q": q, "edges": e, "order_vs_beta": order, **_interval_fields(iv)})
         ok &= order == ("Equal" if q == beta else "Less")
     argmax = [row["q"] for row in rows if row["order_vs_beta"] == "Equal"]
     expected_argmax = [beta] if q_lo <= beta <= q_hi else []
-    winner_spec = BipartitionSpec((n - beta - r - 1, r + 1), (1, beta - 1))
-    winner = double_nested(winner_spec)
+    winner = double_nested_construction((n - beta - r - 1, r + 1), (1, beta - 1)).graph
     wb = binding_number_flow(winner).value
     winner_ok = wb < Fraction(1, r)
     facts_ok = ok and argmax == expected_argmax and winner_ok

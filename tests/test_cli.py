@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import bindex.spectral as spectral
 import bindex.verify as verify
 from bindex.cli import _default_threads, _emit_report, run
 from bindex.verify import VerificationReport
@@ -157,12 +156,10 @@ def test_exit_two_on_malformed_graph6(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-ASCII" in captured.err and "byte offset 1" in captured.err
-
-
-def test_spectral_nonconvergence_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "_POWER_CAP", 0)
-    assert run(["spectral", "--g6", "Bg"]) == 2
-    assert capsys.readouterr().err.startswith("error: power iteration did not converge")
+    assert run(["decode", "--g6", "~@?@"]) == 2  # n = 4097, past the vertex cap
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the vertex cap 4096 (byte offset 0)" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,11 +190,10 @@ def test_exit_two_on_usage_errors(capsys):
     assert "28" in capsys.readouterr().err
     assert run(["binding", "--g6", "Bw", "--bogus"]) == 2
     capsys.readouterr()
-    for tol in ("inf", "nan"):
-        assert run(["spectral", "--g6", "DQw", "--tol", tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: tolerance must be positive and finite" in captured.err
+    assert run(["spectral", "--g6", "DQw", "--tol", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from bindex.codec import (
     graph6_encode,
     load_graph,
 )
-from bindex.graph import DomainError, Graph, complete
+from bindex.graph import MAX_VERTICES, DomainError, Graph, complete
 
 
 def _random_graph(rng, n, p=0.5):
@@ -113,6 +113,26 @@ def test_decode_errors_carry_offsets():
         with pytest.raises(Graph6Error, match="non-ASCII") as ei:
             graph6_decode(text)
         assert ei.value.offset == offset
+
+
+def _g6_header(n):
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+
+
+def test_decode_rejects_sizes_above_the_vertex_cap_from_the_header():
+    # header only: the cap is named, not the missing edge bytes
+    with pytest.raises(Graph6Error, match=f"vertex cap {MAX_VERTICES}") as ei:
+        graph6_decode(_g6_header(MAX_VERTICES + 1))
+    assert ei.value.offset == 0
+    # a full-length string is refused before any edge byte is decoded
+    n = 6000
+    text = _g6_header(n) + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    with pytest.raises(Graph6Error, match=f"graph6 size {n} exceeds") as ei:
+        graph6_decode(text)
+    assert ei.value.offset == 0
+    # at the cap itself the header is accepted and the edge bytes are asked for
+    with pytest.raises(Graph6Error, match="edge bytes"):
+        graph6_decode(_g6_header(MAX_VERTICES))
 
 
 def test_edge_list_roundtrip():

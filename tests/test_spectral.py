@@ -1,12 +1,10 @@
-"""Power iteration, equitable quotients, polynomial families, certification."""
+"""Float radius estimates, equitable quotients, polynomial families, certification."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
-import bindex.spectral as spectral
 from bindex.constructions import (
     bipartite_extremal_D,
     bipartite_extremal_K,
@@ -25,7 +23,6 @@ from bindex.graph import (
 )
 from bindex.polynomials import IntPolynomial
 from bindex.spectral import (
-    ConvergenceError,
     EquitabilityError,
     QuotientMatrix,
     certified_radius,
@@ -68,95 +65,13 @@ def test_power_iteration_deterministic():
     assert spectral_radius_power(g) == spectral_radius_power(g)
 
 
-def _adjacency(g, comp):
-    verts = vertices_of(comp)
-    return np.array([[float(g.adj[v] >> w & 1) for w in verts] for v in verts])
-
-
-def _warm_start(a):
-    x = np.abs(np.linalg.eigh(a)[1][:, -1])
-    return x / float(np.linalg.norm(x))
-
-
-def _radius_with_linalg_norm(g, tol=1e-12):
-    """spectral_radius_power with every norm taken by np.linalg.norm,
-    each step allocating its result; ConvergenceError at the cap."""
-    best = 0.0
-    for comp in g.components():
-        k = comp.bit_count()
-        if k == 1:
-            continue
-        a = _adjacency(g, comp)
-        x = _warm_start(a)
-        for _ in range(spectral._POWER_CAP):
-            y = a @ x + x
-            lam = float(x @ y)
-            if float(np.linalg.norm(y - lam * x)) <= tol * lam:
-                break
-            x = y / float(np.linalg.norm(y))
-        else:
-            raise ConvergenceError(lam - 1.0)
-        best = max(best, lam - 1.0)
-    return best
-
-
-def test_power_iteration_bit_identical_to_linalg_norm_loop():
-    # every family_grid shape for r <= 5, n <= 20, a disconnected graph,
-    # and graphs with components of order 24 to 40
-    graphs = [disjoint_union(complete_bipartite(3, 5), double_nested(BipartitionSpec((2, 3), (1, 2))))]
-    for r in range(1, 6):
-        for n in range(r + 3, 21):
-            cs = [bipartite_extremal_K(n, r)]
-            cs += [family_general(n, r, t1) for t1 in range(1, (n - 3) // (r + 1) + 1)]
-            if n >= r + 5:
-                cs += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
-            graphs += [c.graph for c in cs]
-    graphs += [
-        build(24, r).graph
-        for build in (bipartite_extremal_K, general_extremal, bipartite_extremal_D)
-        for r in (1, 2, 3)
-    ]
-    graphs += [
-        bipartite_extremal_K(30, 2).graph,
-        bipartite_extremal_D(33, 1).graph,
-        general_extremal(40, 3).graph,
-        path(25),
-        disjoint_union(path(7), bipartite_extremal_K(26, 1).graph),
-    ]
-    assert len(graphs) > 380
-    for g in graphs:
-        for tol in (1e-6, 1e-9, 1e-12, 1e-14):
-            assert spectral_radius_power(g, tol) == _radius_with_linalg_norm(g, tol), (g.adj, tol)
-
-
-def test_power_iteration_tol_validation():
-    with pytest.raises(DomainError):
-        spectral_radius_power(complete(3), tol=0.0)
-    with pytest.raises(DomainError):
-        spectral_radius_power(complete(3), tol=-1e-9)
-    for tol in (math.inf, math.nan):
-        with pytest.raises(DomainError, match="finite"):
-            spectral_radius_power(complete(3), tol=tol)
-
-
-def test_power_iteration_cap(monkeypatch):
-    monkeypatch.setattr(spectral, "_POWER_CAP", 0)
-    with pytest.raises(ConvergenceError):
-        spectral_radius_power(path(12))
-    # the eigh start is an eigenvector up to rounding, so only a tol below
-    # the float residual floor keeps the loop from stopping at step one;
-    # should a residual round to exactly 0, both loops return instead
-    g, tol = path(12), 1e-300
-    monkeypatch.setattr(spectral, "_POWER_CAP", 3)
-    try:
-        ref = _radius_with_linalg_norm(g, tol=tol)
-    except ConvergenceError as exc:
-        with pytest.raises(ConvergenceError) as ei:
-            spectral_radius_power(g, tol=tol)
-        assert ei.value.estimate == exc.estimate
-        assert abs(exc.estimate - 2 * math.cos(math.pi / 13)) < 1e-14
-    else:
-        assert spectral_radius_power(g, tol=tol) == ref
+def test_radius_at_k_1024_matches_the_closed_form():
+    # a near-bipartite shape, on which all-ones power iteration stalls with
+    # a float residual above 1e-12 * rho
+    c = bipartite_extremal_K(1024, 2)
+    rho = math.sqrt(683 * 341)
+    assert c.graph.n == 1024 and c.edge_count == 683 * 341
+    assert abs(spectral_radius_power(c.graph) - rho) <= 1e-12 * rho
 
 
 def test_quotient_matrix():
