@@ -253,11 +253,6 @@ class _SetProfile:
         return all(a * d > c * i for i, d in enumerate(ds, 1))
 
 
-def _sole_minimiser(g: Graph, sub: int, a: int, c: int) -> bool:
-    """The counting test of _SetProfile.sole_minimiser for S = sub in g."""
-    return _SetProfile(g.adj, sub).sole_minimiser(a, c)
-
-
 class _ThresholdPlan:
     """What every threshold decision on one graph shares.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .graph import MAX_VERTICES, DomainError, Graph
 
-_G6_MAX = 258047
 # A 6-bit group's octal digits, low digit first, to its graph6 byte. The
 # group's first bit is its lowest, and graph6 writes the first bit highest.
 _G6_CHAR = {f"{v & 7}{v >> 3}": chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)}
@@ -35,8 +34,6 @@ def graph6_encode(g: Graph) -> str:
     pair mapped to its byte by _G6_CHAR.
     """
     n = g.n
-    if n > _G6_MAX:
-        raise DomainError(f"graph6 supports n <= {_G6_MAX}")
     if n <= 62:
         head = chr(n + 63)
     else:

@@ -366,32 +366,22 @@ class _Isolator:
         root_at_zero = zeros > 0
         sf, chain = _squarefree_chain(IntPolynomial(p.coeffs[zeros:]))
         self.exact = False
-        if sf.degree < 1:
-            if not root_at_zero:
-                raise DomainError("no real root in the nonnegative range")
-            self._set_exact(0, 1)
-            return
-        if sf.degree == 1:
+        if sf.degree == 1 and sf.coeffs[0] < 0:
             # bisection midpoints are dyadic and may never land on a
             # rational root, so solve the linear factor outright; sf has a
-            # positive leading coefficient and, with 0 factored out, c0 != 0
-            c0, c1 = sf.coeffs
-            if c0 < 0:
-                self._set_exact(-c0, c1)
-                return
-            if root_at_zero:
-                self._set_exact(0, 1)
-                return
-            raise DomainError("no real root in the nonnegative range")
+            # positive leading coefficient, so its root -c0/c1 is positive
+            self._set_exact(-sf.coeffs[0], sf.coeffs[1])
+            return
         chain = [q.coeffs for q in chain]
         bound = _cauchy_bound(sf)
         vlo = _variations(chain, 0, 1)
         vhi = _variations(chain, bound, 1)
-        if vlo - vhi == 0:
-            if root_at_zero:
-                self._set_exact(0, 1)
-                return
-            raise DomainError("no real root in the nonnegative range")
+        if vlo == vhi:
+            # sf has no root in (0, B] and none at 0, so only x = 0 is left
+            if not root_at_zero:
+                raise DomainError("no real root in the nonnegative range")
+            self._set_exact(0, 1)
+            return
         self.sf = sf.coeffs
         self.chain = chain
         self.lo, self.hi, self.den = 0, bound, 1

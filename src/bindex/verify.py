@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -57,8 +58,8 @@ from .binding import (
 )
 from .codec import graph6_encode
 from .constructions import (
-    Construction,
     beta_value,
+    bipartite_extremal_D,
     double_nested_construction,
     family_general,
     lemma6_max,
@@ -69,7 +70,6 @@ from .polynomials import (
     EQUAL,
     GREATER,
     IntPolynomial,
-    RootInterval,
     compare_largest_roots,
     largest_real_root,
 )
@@ -161,14 +161,6 @@ def _fail_report(
 ) -> VerificationReport:
     """A fail verdict witnessed by g, with the error and where it arose."""
     return _report(claim_id, params, FAIL, [graph6_encode(g)], t0, {"error": error, **where})
-
-
-def _interval_fields(iv: RootInterval) -> dict:
-    return {
-        "rho": iv.midpoint,
-        "rho_lo": str(iv.lo),
-        "rho_hi": str(iv.hi),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +545,38 @@ def _certified_argmax(items: Sequence[tuple[object, IntPolynomial]]):
     return [items[i][0] for i in best]
 
 
-def _family_charpoly(cons: Construction, edges: int, family: str, **params):
-    """(charpoly, None) for a family member, or (None, error) when it misses
-    its edge formula or its quotient charpoly misses the transcription."""
-    if cons.edge_count != edges:
-        return None, f"edge count does not match the {family} family formula"
-    cp = charpoly(quotient_matrix(cons.graph, cons.blocks))
-    if cp != family_polynomial(family, **params):
-        return None, f"quotient charpoly does not match {family} transcription"
-    return cp, None
+def _sweep(claim_id: str, params: dict, t0: float, members):
+    """Check each family member against its closed forms, in order.
+
+    members yields (key, construction, edges, family, family_params): key
+    names the member in its row and in a fail report, edges is its
+    closed-form edge count, and family with family_params names the
+    transcription its quotient charpoly must equal. Returns the checked
+    (key, construction, edges, charpoly) list, or the fail report of the
+    first member that misses its edge formula or its transcription.
+    """
+    swept = []
+    for key, cons, edges, family, family_params in members:
+        if cons.edge_count != edges:
+            error = f"edge count does not match the {family} family formula"
+        else:
+            cp = charpoly(quotient_matrix(cons.graph, cons.blocks))
+            if cp == family_polynomial(family, **family_params):
+                swept.append((key, cons, edges, cp))
+                continue
+            error = f"quotient charpoly does not match {family} transcription"
+        return _fail_report(claim_id, params, cons.graph, t0, error, **key)
+    return swept
+
+
+def _rows(swept, extra=lambda cp: {}) -> list[dict]:
+    """One sweep row per checked member: key, edges, extra(charpoly), radius."""
+    rows = []
+    for key, _, e, cp in swept:
+        iv = largest_real_root(cp)
+        rho = {"rho": iv.midpoint, "rho_lo": str(iv.lo), "rho_hi": str(iv.hi)}
+        rows.append({**key, "edges": e, **extra(cp), **rho})
+    return rows
 
 
 def scan_family_general(n: int, r: int) -> VerificationReport:
@@ -571,35 +586,28 @@ def scan_family_general(n: int, r: int) -> VerificationReport:
     if n < r + 4:
         raise DomainError("sweep needs at least t1 = 1, so n >= r + 4")
     t0 = time.monotonic()
+    params = {"n": n, "r": r}
     tmax = (n - 3) // (r + 1)
-    rows = []
-    polys = []
-    edge_by_t = {}
-    for t1 in range(1, tmax + 1):
-        cons = family_general(n, r, t1)
-        clique = n - (r + 1) * t1 - 1
-        e = t1 * (t1 - 1) // 2 + clique * (clique - 1) // 2 + t1 * (n - t1)
-        cp, error = _family_charpoly(cons, e, "f3", n=n, r=r, t1=t1)
-        if error:
-            return _fail_report(
-                "family_general_scan", {"n": n, "r": r}, cons.graph, t0, error, t1=t1
-            )
-        iv = largest_real_root(cp)
-        edge_by_t[t1] = e
-        polys.append((t1, cp))
-        rows.append({"t1": t1, "edges": e, **_interval_fields(iv)})
-    edge_max = max(edge_by_t.values())
-    edge_argmax = sorted(t for t, e in edge_by_t.items() if e == edge_max)
-    radius_argmax = sorted(_certified_argmax(polys))
+
+    def members():
+        for t1 in range(1, tmax + 1):
+            e = math.comb(t1, 2) + math.comb(n - (r + 1) * t1 - 1, 2) + t1 * (n - t1)
+            yield {"t1": t1}, family_general(n, r, t1), e, "f3", {**params, "t1": t1}
+
+    swept = _sweep("family_general_scan", params, t0, members())
+    if isinstance(swept, VerificationReport):
+        return swept
+    edge_max = max(e for _, _, e, _ in swept)
+    edge_argmax = [key["t1"] for key, _, e, _ in swept if e == edge_max]
+    radius_argmax = _certified_argmax([(key["t1"], cp) for key, _, _, cp in swept])
     hyp_edges = n >= r + 13
     hyp_radius = n >= 2 * r + 15
-    winner = family_general(n, r, 1)
+    winner = swept[0][1]  # the t1 = 1 member
     winner_b = binding_number_flow(winner.graph).value
-    winner_ok = winner_b < Fraction(1, r)
     asserted_bad = (
         (hyp_edges and edge_argmax != [1])
         or (hyp_radius and radius_argmax != [1])
-        or not winner_ok
+        or winner_b >= Fraction(1, r)
     )
     if asserted_bad:
         verdict = FAIL
@@ -608,7 +616,7 @@ def scan_family_general(n: int, r: int) -> VerificationReport:
     else:
         verdict = HYPOTHESIS_NOT_MET
     counters = {
-        "sweep": rows,
+        "sweep": _rows(swept),
         "t1_range": [1, tmax],
         "edge_max": edge_max,
         "edge_argmax": edge_argmax,
@@ -618,7 +626,7 @@ def scan_family_general(n: int, r: int) -> VerificationReport:
         "winner_binding": str(winner_b),
     }
     witnesses = [graph6_encode(winner.graph)]
-    return _report("family_general_scan", {"n": n, "r": r}, verdict, witnesses, t0, counters)
+    return _report("family_general_scan", params, verdict, witnesses, t0, counters)
 
 
 def _identity_grids():
@@ -684,7 +692,11 @@ def check_polynomial_identities(grid=None) -> VerificationReport:
 
 
 def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
-    """Sweep both double nested families over t; replay the argmax claims."""
+    """Sweep both double nested families over t; replay the argmax claims.
+
+    Family A is never empty past the block-size check: a_tmax < 1 needs
+    q = 1 or p < r + 2, and either one forces b_tmax < 1.
+    """
     if not (p >= q >= 1 and r >= 1):
         raise DomainError("need p >= q >= 1 and r >= 1")
     a_tmax = min(q - 1, (p - 2) // r)
@@ -693,108 +705,85 @@ def scan_bipartite_family(p: int, q: int, r: int) -> VerificationReport:
         raise DomainError("no valid block sizes for either family")
     t0 = time.monotonic()
     params = {"p": p, "q": q, "r": r}
-    rows = []
-    a_edges = {}
-    for t in range(1, a_tmax + 1):
-        cons = double_nested_construction((p - r * t - 1, r * t + 1), (t, q - t))
-        e = p * q + r * t * t + (1 - r * q) * t - q
-        cp, error = _family_charpoly(cons, e, "g5", p=p, q=q, r=r, t=t)
-        if error:
-            return _fail_report(
-                "bipartite_family_scan", params, cons.graph, t0, error, family="A", t=t
-            )
-        iv = largest_real_root(cp)
-        a_edges[t] = e
-        rows.append({"family": "A", "t": t, "edges": e, **_interval_fields(iv)})
-    b_edges = {}
-    for t in range(1, b_tmax + 1):
-        cons = double_nested_construction((t, p - t), (q - r * t - 1, r * t + 1))
-        e = p * q + r * t * t + (1 - r * p) * t - p
-        cp, error = _family_charpoly(cons, e, "g1", p=p, q=q, r=r, t=t)
-        if error:
-            return _fail_report(
-                "bipartite_family_scan", params, cons.graph, t0, error, family="B", t=t
-            )
-        iv = largest_real_root(cp)
-        b_edges[t] = e
-        rows.append({"family": "B", "t": t, "edges": e, **_interval_fields(iv)})
+
+    def members():
+        for t in range(1, a_tmax + 1):
+            cons = double_nested_construction((p - r * t - 1, r * t + 1), (t, q - t))
+            e = p * q + r * t * t + (1 - r * q) * t - q
+            yield {"family": "A", "t": t}, cons, e, "g5", {**params, "t": t}
+        for t in range(1, b_tmax + 1):
+            cons = double_nested_construction((t, p - t), (q - r * t - 1, r * t + 1))
+            e = p * q + r * t * t + (1 - r * p) * t - p
+            yield {"family": "B", "t": t}, cons, e, "g1", {**params, "t": t}
+
+    swept = _sweep("bipartite_family_scan", params, t0, members())
+    if isinstance(swept, VerificationReport):
+        return swept
+    family_a = swept[:a_tmax]  # member t at index t - 1
     case = lemma6_max(p, q, r).regime
-    checks = {}
-    if a_edges:
-        a_max = max(a_edges.values())
-        a_argmax = sorted(t for t, e in a_edges.items() if e == a_max)
-        checks["a_edge_argmax"] = a_argmax
-        if case == "le6_case_ii":
-            checks["a_argmax_expected"] = [q - 1]
-            checks["a_argmax_ok"] = a_argmax == [q - 1]
-        elif case == "le6_case_iii":
-            checks["a_argmax_expected"] = [1]
-            checks["a_argmax_ok"] = a_argmax == [1]
+    a_max = max(e for _, _, e, _ in family_a)
+    a_argmax = [key["t"] for key, _, e, _ in family_a if e == a_max]
+    checks = {"a_edge_argmax": a_argmax}
+    if case == "le6_case_ii":
+        checks["a_argmax_expected"] = [q - 1]
+        checks["a_argmax_ok"] = a_argmax == [q - 1]
+    elif case == "le6_case_iii":
+        checks["a_argmax_expected"] = [1]
+        checks["a_argmax_ok"] = a_argmax == [1]
     chain_hyp = 2 <= (p - 2) // r and (p - 2) // r <= q - 3
     if chain_hyp:
+        # here a_tmax = (p - 2) // r, so the chain's t = 2..a_tmax are all swept
         ref = family_polynomial("g4", p=p, q=q, r=r)
-        chain_ok = True
-        chain_rows = []
-        for t in range(2, (p - 2) // r + 1):
-            order = compare_radii(family_polynomial("g5", p=p, q=q, r=r, t=t), ref)
-            chain_rows.append({"t": t, "order": order})
-            chain_ok &= order == "Less"
+        chain_rows = [
+            {"t": key["t"], "order": compare_radii(cp, ref)} for key, _, _, cp in family_a[1:]
+        ]
         checks["radius_chain"] = chain_rows
-        checks["radius_chain_ok"] = chain_ok
-    fact_keys = [k for k in ("a_argmax_ok", "radius_chain_ok") if k in checks]
-    ok = all(checks[k] for k in fact_keys)
-    witness_graphs = []
-    if a_edges:
-        t_star = min(t for t, e in a_edges.items() if e == max(a_edges.values()))
-        wg = double_nested_construction(
-            (p - r * t_star - 1, r * t_star + 1), (t_star, q - t_star)
-        ).graph
-        wb = binding_number_flow(wg).value
-        ok = ok and wb < Fraction(1, r)
-        checks["winner_binding"] = str(wb)
-        witness_graphs.append(graph6_encode(wg))
-    counters = {
-        "sweep": rows,
-        "case": case,
-        "chain_hypothesis": chain_hyp,
-        **checks,
-    }
+        checks["radius_chain_ok"] = all(row["order"] == "Less" for row in chain_rows)
+    winner = family_a[a_argmax[0] - 1][1].graph
+    wb = binding_number_flow(winner).value
+    ok = all(checks.get(k, True) for k in ("a_argmax_ok", "radius_chain_ok"))
+    ok = ok and wb < Fraction(1, r)
+    checks["winner_binding"] = str(wb)
+    counters = {"sweep": _rows(swept), "case": case, "chain_hypothesis": chain_hyp, **checks}
     verdict = PASS if ok else FAIL
-    return _report("bipartite_family_scan", params, verdict, witness_graphs, t0, counters)
+    witnesses = [graph6_encode(winner)]
+    return _report("bipartite_family_scan", params, verdict, witnesses, t0, counters)
 
 
 def scan_lemma12(n: int, r: int) -> VerificationReport:
-    """Certify the radius maximum over q at q = floor((n-r-1)/2)."""
+    """Certify the radius maximum over q at q = floor((n-r-1)/2).
+
+    The q range is never empty: n >= r + 6 with r >= 2 gives q_lo <= q_hi.
+    """
     if r < 2:
         raise DomainError("r must be at least 2")
     if n < r + 6:
         raise DomainError("sweep needs valid block sizes, so n >= r + 6")
     t0 = time.monotonic()
+    params = {"n": n, "r": r}
     hyp = n >= r * r + r + 2
     beta = beta_value(n, r)
     q_lo = max(2, (n + r - 1) // (r + 1))
     q_hi = min(n // 2, n - r - 2)
-    if q_lo > q_hi:
-        raise DomainError("empty q range for these parameters")
-    rows = []
-    ok = True
-    ref = family_polynomial("h2", n=n, r=r)
-    for q in range(q_lo, q_hi + 1):
-        cons = double_nested_construction((n - q - r - 1, r + 1), (1, q - 1))
-        e = (n - q - r - 1) * q + r + 1
-        cp, error = _family_charpoly(cons, e, "h1", n=n, q=q, r=r)
-        if error:
-            return _fail_report("lemma12_scan", {"n": n, "r": r}, cons.graph, t0, error, q=q)
-        order = compare_radii(cp, ref)
-        iv = largest_real_root(cp)
-        rows.append({"q": q, "edges": e, "order_vs_beta": order, **_interval_fields(iv)})
-        ok &= order == ("Equal" if q == beta else "Less")
+
+    def members():
+        for q in range(q_lo, q_hi + 1):
+            cons = double_nested_construction((n - q - r - 1, r + 1), (1, q - 1))
+            yield {"q": q}, cons, (n - q - r - 1) * q + r + 1, "h1", {**params, "q": q}
+
+    swept = _sweep("lemma12_scan", params, t0, members())
+    if isinstance(swept, VerificationReport):
+        return swept
+    ref = family_polynomial("h2", **params)
+    rows = _rows(swept, lambda cp: {"order_vs_beta": compare_radii(cp, ref)})
+    ok = all(row["order_vs_beta"] == ("Equal" if row["q"] == beta else "Less") for row in rows)
     argmax = [row["q"] for row in rows if row["order_vs_beta"] == "Equal"]
-    expected_argmax = [beta] if q_lo <= beta <= q_hi else []
-    winner = double_nested_construction((n - beta - r - 1, r + 1), (1, beta - 1)).graph
+    beta_swept = q_lo <= beta <= q_hi
+    expected_argmax = [beta] if beta_swept else []
+    # D(n - beta - r - 1, r + 1; 1, beta - 1), already swept when beta is in range
+    winner = (swept[beta - q_lo][1] if beta_swept else bipartite_extremal_D(n, r)).graph
     wb = binding_number_flow(winner).value
-    winner_ok = wb < Fraction(1, r)
-    facts_ok = ok and argmax == expected_argmax and winner_ok
+    facts_ok = ok and argmax == expected_argmax and wb < Fraction(1, r)
     if facts_ok:
         verdict = PASS
     elif not hyp:
@@ -810,4 +799,4 @@ def scan_lemma12(n: int, r: int) -> VerificationReport:
         "winner_binding": str(wb),
     }
     witnesses = [graph6_encode(winner)]
-    return _report("lemma12_scan", {"n": n, "r": r}, verdict, witnesses, t0, counters)
+    return _report("lemma12_scan", params, verdict, witnesses, t0, counters)

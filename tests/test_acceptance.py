@@ -63,7 +63,8 @@ def _grid_constructions():
 
 def _all_ones_estimate(g, tol=1e-12):
     """rho of a connected g by power iteration on A + I from the all-ones
-    start, which spectral_radius_power does not use; same stop rule."""
+    start, stopped once the residual is at most tol times the Rayleigh
+    quotient: an oracle independent of spectral_radius_power's eigvalsh."""
     a = np.array([[g.adj[v] >> w & 1 for w in range(g.n)] for v in range(g.n)], dtype=float)
     x = np.ones(g.n) / math.sqrt(g.n)
     for _ in range(100_000):

@@ -15,7 +15,7 @@ from bindex.binding import (
     _better,
     _binding_sets_many,
     _lex_key,
-    _sole_minimiser,
+    _SetProfile,
     _threshold_plan,
     _ThresholdPlan,
     binding_below_threshold,
@@ -339,7 +339,7 @@ def test_sole_minimiser_test_is_sound():
         g = _random_graph(rng, n, rng.uniform(0.25, 0.9))
         a, c = rng.randint(1, n), rng.randint(1, n)
         for sub in {g.mask_all & ~row for row in g.adj}:
-            if _sole_minimiser(g, sub, a, c):
+            if _SetProfile(g.adj, sub).sole_minimiser(a, c):
                 passed += 1
                 assert _minimisers(g, sub, a, c)[1] == [sub], (g.adj, sub, a, c)
     assert passed > 300

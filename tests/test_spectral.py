@@ -43,7 +43,7 @@ def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def test_power_iteration_anchors():
+def test_radius_estimate_anchors():
     assert abs(spectral_radius_power(complete(5)) - 4) < 1e-10
     assert abs(spectral_radius_power(cycle(5)) - 2) < 1e-10
     assert abs(spectral_radius_power(cycle(8)) - 2) < 1e-10
@@ -55,12 +55,12 @@ def test_power_iteration_anchors():
     assert spectral_radius_power(Graph(3, [0, 0, 0])) == 0.0
 
 
-def test_power_iteration_components():
+def test_radius_estimate_components():
     g = disjoint_union(complete(3), complete(5))
     assert abs(spectral_radius_power(g) - 4) < 1e-10
 
 
-def test_power_iteration_deterministic():
+def test_radius_estimate_deterministic():
     g = double_nested(BipartitionSpec((3, 4), (2, 5)))
     assert spectral_radius_power(g) == spectral_radius_power(g)
 

@@ -651,6 +651,41 @@ def test_bipartite_family_validation():
         scan_bipartite_family(3, 3, 3)
 
 
+def test_bipartite_family_chain_reuses_the_swept_transcriptions(monkeypatch):
+    calls = []
+    transcription = verify.family_polynomial
+
+    def counted(name, **params):
+        calls.append(name)
+        return transcription(name, **params)
+
+    monkeypatch.setattr(verify, "family_polynomial", counted)
+    rep = scan_bipartite_family(13, 9, 2)
+    assert rep.verdict == "pass" and rep.counters["chain_hypothesis"] is True
+    # family A has t = 1..5 and family B t = 1..3; the chain adds only g4
+    assert len(rep.counters["sweep"]) == 8
+    assert sorted(calls) == ["g1"] * 3 + ["g4"] + ["g5"] * 5
+
+
+def test_family_sweeps_never_run_empty():
+    raised = 0
+    for r in range(1, 4):
+        for q in range(1, 9):
+            for p in range(q, 9):
+                try:
+                    rep = scan_bipartite_family(p, q, r)
+                except DomainError as exc:
+                    assert "no valid block sizes" in str(exc), (p, q, r)
+                    raised += 1
+                    continue
+                assert any(row["family"] == "A" for row in rep.counters["sweep"]), (p, q, r)
+    assert 0 < raised < 108
+    for r in range(2, 5):
+        for n in range(r + 6, r + 21):
+            q_lo, q_hi = scan_lemma12(n, r).counters["q_range"]
+            assert q_lo <= q_hi, (n, r)
+
+
 _SWEEPS = [
     (scan_family_general, (16, 1), "f3", {"t1": 1}),
     (scan_bipartite_family, (8, 3, 3), "g5", {"family": "A", "t": 1}),
