@@ -76,10 +76,11 @@ def spectral_radius_power(g: Graph) -> float:
     all-ones power iteration.
 
     Cost (2-vCPU x86-64 box, one call, peak RSS of the process): eigvalsh's
-    O(k^3). At k = 1024 the K shape K_{683,341}, G(1024, 1/2), the cycle
-    and the path took 0.22-0.53 s, 48-57 MB; at k = 2048 1.0-2.5 s,
-    96-136 MB; at k = 4096 (MAX_VERTICES) K_{2731,1365} took 10.2 s,
-    290 MB.
+    O(k^3); finding the components is linear. At k = 1024 the K shape
+    K_{683,341}, G(1024, 1/2), C_1024 and P_1024 took 0.11-0.42 s,
+    47-53 MB (P_1024 0.12-0.14 s); at k = 2048 P_2048 and K_{1365,683}
+    took 0.70-1.8 s, 96 MB; at k = 4096 (MAX_VERTICES) P_4096 took 5.8 s
+    and K_{2731,1365} 10.2-12.2 s, 289 MB.
     """
     return max(_component_radius(g, comp) for comp in g.components())
 

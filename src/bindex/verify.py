@@ -56,7 +56,7 @@ from .binding import (
     binding_number_flow,
     toughness_bruteforce,
 )
-from .codec import graph6_encode
+from .codec import _graph_of_pairs, graph6_encode
 from .constructions import (
     beta_value,
     bipartite_extremal_D,
@@ -458,17 +458,6 @@ def enumerate_bipartite_theorem6(n: int, r: int, threads: int = 1) -> Verificati
 # labeled-graph property sweep
 
 
-def _graph_from_pairmask(n: int, mask: int) -> Graph:
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> k & 1:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
-
-
 def enumerate_general_properties(
     n: int, samples: int = _DEFAULT_SAMPLES, seed: int = _DEFAULT_SEED
 ) -> VerificationReport:
@@ -496,7 +485,9 @@ def enumerate_general_properties(
     checked = 0
     failures = {"independence": 0, "toughness": 0, "isolated": 0, "flow": 0}
     one = Fraction(1)
-    for g, sets in _binding_sets_many(_graph_from_pairmask(n, mask) for mask in masks):
+    # bit k of a mask is the k-th pair, so its reversed binary digits list the pairs in order
+    graphs = (_graph_of_pairs(n, format(mask, f"0{pairs}b")[::-1]) for mask in masks)
+    for g, sets in _binding_sets_many(graphs):
         checked += 1
         b = Fraction(g.neighborhood(sets[0]).bit_count(), sets[0].bit_count())
         bf = binding_number_flow(g).value

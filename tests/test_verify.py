@@ -552,6 +552,31 @@ def test_general_properties_exhaustive():
     assert rep5.counters["graphs_scanned"] == 1024
 
 
+def test_sweep_graphs_have_exactly_the_pairs_of_their_masks(monkeypatch):
+    """Bit k of a sweep mask is the k-th pair (i, j), i < j, in column order."""
+    swept = []
+    real = verify._binding_sets_many
+
+    def spy(graphs):
+        def recorded():
+            for g in graphs:
+                swept.append(g)
+                yield g
+
+        return real(recorded())
+
+    monkeypatch.setattr(verify, "_binding_sets_many", spy)
+    enumerate_general_properties(4)
+    rng = random.Random(29)
+    enumerate_general_properties(9, samples=6, seed=29)
+    masks = [(4, mask) for mask in range(64)] + [(9, rng.getrandbits(36)) for _ in range(6)]
+    assert len(swept) == len(masks)
+    for (n, mask), g in zip(masks, swept):
+        order = [(i, j) for j in range(1, n) for i in range(j)]
+        assert g.n == n
+        assert set(g.edges()) == {pair for k, pair in enumerate(order) if mask >> k & 1}
+
+
 def test_general_properties_sampled():
     rep = enumerate_general_properties(8, samples=50, seed=17)
     assert rep.verdict == "pass"
