@@ -23,13 +23,21 @@ costs a few numpy calls per block rather than per graph. A graph with
 n > 16 fills its blocks alone.
 
 Flow (any n) decides thresholds on Cunningham's network, one decision per
-Dinkelbach round. What a decision needs that does not depend on the
-threshold is a _ThresholdPlan of the graph: its allowed sets, their
-counting-test data (filled on first use) and the network topology. One
-plan, that of the graph decided last, stays cached, so the rounds on a
-graph build it once and memory holds one graph's plan between calls: at
-most 9n + 8|E| + 1 topology entries plus n^2 counting-test entries and n
-refusal memos of one (a, c) tuple each.
+Dinkelbach round. With least degree delta >= 2 the rounds start from the
+best allowed set A_u = V - N(u) rather than from t = delta: for
+1 < delta < n - 1 the A_u of a vertex of degree delta has ratio at most
+(n - 1)/(n - delta) < delta (Woodall 1973), so the round at delta could
+only answer yes, and on most graphs the first round is the final no. At
+delta = 1 that bound gives nothing and a no at t <= 1 costs two flows, so
+the start stays at t = 1 (binding_number_flow has the proof).
+
+What a decision needs that does not depend on the threshold is a
+_ThresholdPlan of the graph: its allowed sets, their counting-test data
+(filled on first use; the start reads N(A) from there too) and the
+network topology. One plan, that of the graph decided last, stays cached,
+so the rounds on a graph build it once and memory holds one graph's plan
+between calls: at most 9n + 8|E| + 1 topology entries plus n^2
+counting-test entries and n refusal memos of one (a, c) tuple each.
 
 Two rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
@@ -221,6 +229,18 @@ class _SetProfile:
         self.ds: Optional[list[int]] = None
         self.no: Optional[tuple[int, int]] = None
 
+    def neighborhood(self) -> int:
+        """N(A), computed on first use and kept in the nb slot."""
+        nb = self.nb
+        if nb is None:
+            adj, nb, rest = self.adj, 0, self.sub
+            while rest:
+                lowb = rest & -rest
+                nb |= adj[lowb.bit_length() - 1]
+                rest ^= lowb
+            self.nb = nb
+        return nb
+
     def sole_minimiser(self, a: int, c: int) -> bool:
         """Counting test that S = A is the only minimiser of c|N(S)| - a|S|.
 
@@ -230,15 +250,7 @@ class _SetProfile:
         for every T (the empty S included) when a*d > c*i along the d_w
         sorted ascending, i counting from 1. Sufficient, not necessary.
         """
-        adj, sub, nb = self.adj, self.sub, self.nb
-        if nb is None:
-            nb = 0
-            rest = sub
-            while rest:
-                lowb = rest & -rest
-                nb |= adj[lowb.bit_length() - 1]
-                rest ^= lowb
-            self.nb = nb
+        adj, sub, nb = self.adj, self.sub, self.neighborhood()
         if c * nb.bit_count() >= a * self.size:  # fails at i = |N(A)|: each d_w <= |A|
             return False
         ds = self.ds
@@ -519,13 +531,31 @@ def binding_below_threshold(
 
 
 def binding_number_flow(g: Graph) -> BindingResult:
-    """Exact b(G) by Dinkelbach iteration over threshold decisions."""
+    """Exact b(G) by Dinkelbach iteration over threshold decisions.
+
+    The rounds start from the best start witness under _better: a vertex v
+    of least degree delta, and, when delta >= 2, every allowed set
+    A_u = V - N(u) of the graph's _ThresholdPlan, each a valid witness
+    since u lies in A_u and not in N(A_u). For 1 < delta < n - 1 the set
+    A_u of v already beats v: |N(A_u)| <= n - 1 and |A_u| = n - delta, so
+    its ratio is at most (n - 1)/(n - delta) < delta, since
+    delta(n - delta) - (n - 1) = (delta - 1)(n - delta - 1) > 0 (Woodall
+    1973). The round at t = delta would only answer yes, and the first
+    round is often the final no. At delta = 1 that bound gives nothing,
+    and a no at t <= 1 already costs two flows (binding_below_threshold),
+    so the start stays at v.
+    """
     iso = _isolated_result(g, "flow")
     if iso is not None:
         return iso
     v = min(range(g.n), key=lambda u: (g.degree(u), u))
-    witness = 1 << v
-    t = Fraction(g.degree(v), 1)
+    num, den, witness = g.degree(v), 1, 1 << v
+    if num >= 2:
+        for profile in _threshold_plan(g.adj).sets:
+            nb = profile.neighborhood().bit_count()
+            if _better(nb, profile.size, profile.sub, num, den, witness):
+                num, den, witness = nb, profile.size, profile.sub
+    t = Fraction(num, den)
     while True:
         ok, w = binding_below_threshold(g, t)
         if not ok:

@@ -485,8 +485,8 @@ def enumerate_general_properties(
     checked = 0
     failures = {"independence": 0, "toughness": 0, "isolated": 0, "flow": 0}
     one = Fraction(1)
-    # bit k of a mask is the k-th pair, so its reversed binary digits list the pairs in order
-    graphs = (_graph_of_pairs(n, format(mask, f"0{pairs}b")[::-1]) for mask in masks)
+    # bit k of a mask is the k-th pair
+    graphs = (_graph_of_pairs(n, format(mask, f"0{pairs}b").encode()) for mask in masks)
     for g, sets in _binding_sets_many(graphs):
         checked += 1
         b = Fraction(g.neighborhood(sets[0]).bit_count(), sets[0].bit_count())

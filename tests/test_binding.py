@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from bindex import binding as binding_module
 from bindex.binding import (
     BindingResult,
     _better,
@@ -636,6 +637,88 @@ def test_flow_anchors():
     assert binding_number_flow(complete_bipartite(7, 2)).value == Fraction(2, 7)
     d = double_nested(BipartitionSpec((2, 3), (1, 2)))
     assert binding_number_flow(d).value == Fraction(1, 3)
+
+
+def _min_degree(g):
+    return min(row.bit_count() for row in g.adj)
+
+
+def _seeded_by_min_degree(rng):
+    """Seeded graphs with n = 3..12 such that every n has graphs of least
+    degree 1, of least degree 2..n-2 and K_n (least degree n - 1): G(n, p)
+    draws, dense draws with one vertex cut down to a pendant, cycles and
+    K_n minus a matching."""
+    graphs = []
+    for n in range(3, 13):
+        graphs += [_random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8, 0.9))) for _ in range(40)]
+        for _ in range(10):
+            g = _random_graph(rng, n, 0.85)
+            u, w = rng.sample(range(n), 2)
+            edges = [e for e in g.edges() if u not in e] + [(u, w)]
+            graphs.append(Graph.from_edges(n, edges))
+        matched = {(2 * i, 2 * i + 1) for i in range(n // 2)}
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        graphs.append(Graph.from_edges(n, [e for e in pairs if e not in matched]))
+        graphs += [cycle(n), complete(n)]
+    return graphs
+
+
+def test_flow_equals_subset_oracle_by_min_degree():
+    # values from the pure-Python subset loop; the flow witness must be a
+    # valid set of that ratio
+    classes = {"1": 0, "2..n-2": 0, "n-1": 0}
+    for g in _seeded_by_min_degree(random.Random(1931)):
+        d = _min_degree(g)
+        if d == 0:
+            continue
+        classes["1" if d == 1 else "n-1" if d == g.n - 1 else "2..n-2"] += 1
+        value = _brute_oracle(g)[0]
+        r = binding_number_flow(g)
+        nb = g.neighborhood(r.witness)
+        assert (r.value, nb != g.mask_all) == (value, True), g.adj
+        assert Fraction(nb.bit_count(), r.witness.bit_count()) == value, g.adj
+    assert classes["1"] > 100 and classes["2..n-2"] > 200 and classes["n-1"] >= 10, classes
+
+
+def test_dinkelbach_starts_from_the_best_allowed_set(monkeypatch):
+    # 2 <= delta <= n - 2: the first threshold is the least ratio over v
+    # and the allowed sets V - N(u), below delta; thresholds then fall and
+    # only the last decision answers no, and a graph settled by its first
+    # decision returns the start set that is best by ratio, size and lex
+    # order. delta = 1: the first threshold is 1.
+    calls = []
+    decide = binding_module.binding_below_threshold
+
+    def recorded(g, t):
+        calls.append((t, decide(g, t)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(binding_module, "binding_below_threshold", recorded)
+    seeded = one_round = 0
+    for g in _seeded_by_min_degree(random.Random(1932)):
+        d = _min_degree(g)
+        if d == 0 or d == g.n - 1:
+            continue
+        calls.clear()
+        r = binding_number_flow(g)
+        ts = [t for t, _ in calls]
+        if d == 1:
+            assert ts[0] == 1, g.adj
+            continue
+        seeded += 1
+        starts = []
+        for u in range(g.n):
+            sub = g.mask_all & ~g.adj[u]
+            ratio = Fraction(g.neighborhood(sub).bit_count(), sub.bit_count())
+            starts.append((ratio, sub.bit_count(), vertices_of(sub), sub))
+        start = min(starts)
+        assert ts[0] == min(Fraction(d), start[0]) < d, g.adj
+        assert all(x > y for x, y in zip(ts, ts[1:])), (g.adj, ts)
+        assert [ok for _, (ok, _) in calls] == [True] * (len(calls) - 1) + [False], g.adj
+        if len(calls) == 1:
+            one_round += 1
+            assert r.witness == start[3], g.adj
+    assert seeded > 200 and one_round > 100, (seeded, one_round)
 
 
 def test_limits():
