@@ -398,16 +398,17 @@ class _Isolator:
         left, that is at level k = B.bit_length() + 40 if the level-k cell
         of the largest root rho holds no other root. A float Newton guess
         of rho picks a level-k cell; it is used only when integers certify
-        it: sf is nonzero at both ends, V(hi) = V(B) (no root above hi) and
-        V(lo) - V(hi) = 1 (one root inside), V counting sign changes along
-        the Sturm chain. Then rho is inside the open cell, so it is on no
-        dyadic grid point up to level k and bisection never meets it at a
-        midpoint. Bisection may meet a smaller root there; the exact-root
+        it (see _take_cell). Then rho is inside the open cell, so it is on
+        no dyadic grid point up to level k and bisection never meets it at
+        a midpoint. Bisection may meet a smaller root there; the exact-root
         branch of step then moves the bracket up, as an upper step does.
         So bisection descends through the cells that contain rho and stops
-        on this one. When any check fails (float overflow, a non-finite or
-        zero-derivative Newton step, a guess one cell off, two roots in one
-        cell, rho on the grid) the state stays at (0, B] and refine bisects.
+        on this one. A guess that rounds across a cell boundary is one cell
+        off; the counts then show on which side rho lies, and that one
+        neighbour is checked the same way. When any check fails (float
+        overflow, a non-finite or zero-derivative Newton step, a guess
+        further off, two roots in one cell, rho on the grid) the state
+        stays at (0, B] and refine bisects.
         """
         k = bound.bit_length() + _WIDTH_BITS
         guess = _newton_guess(self.sf, bound, k)
@@ -415,17 +416,35 @@ class _Isolator:
             return
         num, fden = guess.as_integer_ratio()
         i = (num << k) // (fden * bound)
+        side = self._take_cell(i, bound, k)
+        if side:
+            self._take_cell(i + side, bound, k)
+
+    def _take_cell(self, i: int, bound: int, k: int) -> int:
+        """Take the level-k cell (i*B, (i+1)*B] / 2^k if it holds rho alone.
+
+        The certificate: sf is nonzero at both ends, V(hi) = V(B) (no root
+        above hi) and V(lo) - V(hi) = 1 (one root inside), V counting sign
+        changes along the Sturm chain. Returns 1 when rho lies above the
+        cell (V(hi) != V(B)), -1 when below it (no root in the cell or
+        above), and 0 when the cell is taken or the check fails otherwise.
+        """
         if not 0 <= i < 1 << k:
-            return
+            return 0
         lo, hi, den = i * bound, (i + 1) * bound, 1 << k
         slo = _sign_at(self.sf, lo, den)
         if slo == 0 or _sign_at(self.sf, hi, den) == 0:
-            return
+            return 0
         vhi = _variations(self.chain, hi, den)
-        if vhi != self.vhi or _variations(self.chain, lo, den) != vhi + 1:
-            return
-        self.lo, self.hi, self.den = lo, hi, den
-        self.vlo, self.slo = vhi + 1, slo
+        if vhi != self.vhi:
+            return 1
+        vlo = _variations(self.chain, lo, den)
+        if vlo == vhi:
+            return -1
+        if vlo == vhi + 1:
+            self.lo, self.hi, self.den = lo, hi, den
+            self.vlo, self.slo = vlo, slo
+        return 0
 
     def _set_exact(self, num: int, den: int) -> None:
         self.exact = True

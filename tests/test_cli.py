@@ -1,7 +1,9 @@
 """Command line front end: grammar, output text, exit codes."""
 
 import json
+import os
 import re
+import stat
 from fractions import Fraction
 
 import pytest
@@ -240,3 +242,47 @@ def test_default_threads_env(monkeypatch):
     assert _default_threads() == 3
     monkeypatch.delenv("BINDEX_THREADS")
     assert _default_threads() >= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["binding", "--g6", "DQw"],
+    ["verify", "identities", "--format", "json"],
+    ["regime", "thm6", "--n", "25", "--r", "3", "--format", "json"],
+])
+@pytest.mark.parametrize("old", [bytes(range(256)) * 40, b"x"], ids=["longer", "shorter"])
+def test_out_rewrites_an_old_file_to_the_stdout_bytes(argv, old, tmp_path, capsys):
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    path = tmp_path / "out.txt"
+    path.write_bytes(old)
+    assert run([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    # no stale bytes of the old file survive; only the timing counter may differ
+    untimed = [re.sub(rb'"elapsed_ms": \d+', b"", t) for t in (path.read_bytes(), stdout)]
+    assert untimed[0] == untimed[1]
+
+
+def test_out_to_a_device_is_not_truncated(capsys):
+    assert run(["binding", "--g6", "Cr", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_new_out_file_mode_follows_the_umask(tmp_path, capsys):
+    path = tmp_path / "new.txt"
+    old_mask = os.umask(0o027)
+    try:
+        assert run(["binding", "--g6", "Cr", "--out", str(path)]) == 0
+    finally:
+        os.umask(old_mask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+    assert path.read_text(encoding="utf-8") == "b = 1/1\nwitness = {0, 3}\nmethod = brute\n"
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-parent", "directory"])
+def test_unwritable_out_exits_two(target, tmp_path, capsys):
+    path = tmp_path / target
+    assert run(["binding", "--g6", "Cr", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in captured.err

@@ -14,6 +14,7 @@ from bindex.polynomials import (
     IntPolynomial,
     RootInterval,
     _Isolator,
+    _cauchy_bound,
     compare_largest_roots,
     count_roots,
     largest_real_root,
@@ -458,3 +459,21 @@ def test_fallbacks_give_the_bisection_bracket(monkeypatch):
         del calls[:]
         assert _bracket(p) == _bisection(p), coeffs
         assert bool(calls) == (lo == hi), coeffs
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", [
+    # float sqrt(27) rounds up across a level-45 cell boundary: rho is one cell down
+    ((-27, 0, 1), '11426460016923/2199023255552', '45705840067699/8796093022208'),
+    # a seeded quintic whose guess falls one cell below rho
+    ((0, 693, -408, -10, 41, -6), '492581209243617/140737488355328',
+     '246290604621867/70368744177664'),
+])
+def test_a_guess_one_cell_off_still_lands(coeffs, lo, hi, monkeypatch):
+    p = IntPolynomial(coeffs)
+    iso = _Isolator(p)
+    k = _cauchy_bound(IntPolynomial(iso.sf)).bit_length() + 40
+    assert iso.den == 1 << k
+    calls = _counted_steps(monkeypatch)
+    iv = largest_real_root(p)
+    assert not calls
+    assert (str(iv.lo), str(iv.hi)) == (lo, hi)
