@@ -23,21 +23,26 @@ costs a few numpy calls per block rather than per graph. A graph with
 n > 16 fills its blocks alone.
 
 Flow (any n) decides thresholds on Cunningham's network, one decision per
-Dinkelbach round. With least degree delta >= 2 the rounds start from the
-best allowed set A_u = V - N(u) rather than from t = delta: for
-1 < delta < n - 1 the A_u of a vertex of degree delta has ratio at most
-(n - 1)/(n - delta) < delta (Woodall 1973), so the round at delta could
-only answer yes, and on most graphs the first round is the final no. At
-delta = 1 that bound gives nothing and a no at t <= 1 costs two flows, so
-the start stays at t = 1 (binding_number_flow has the proof).
+Dinkelbach round, and the rounds start from a witness that is often
+already a binding set (binding_number_flow has the proofs). With least
+degree delta = 1 it is the pendant class of the least pendant vertex,
+every vertex on the same one neighbour, of ratio 1/|P|, which on the
+paper's extremal graphs is almost always a binding set. With delta >= 2
+it is the best allowed set A_u = V - N(u), of ratio below delta for
+1 < delta < n - 1 (Woodall 1973). A decision at t <= 1 first runs one
+flow with every vertex allowed, which answers a no alone and settles
+every allowed set containing its witness on a yes. So on most extremal
+constructions the value costs one decision of one flow. A dense random
+graph needs one decision at t > 1 of up to n flows: G(n, 0.3) takes
+1.6-1.7 s at n = 640 and 10.0-10.4 s at n = 1280 on a 2-vCPU x86-64 box.
 
 What a decision needs that does not depend on the threshold is a
-_ThresholdPlan of the graph: its allowed sets, their counting-test data
-(filled on first use; the start reads N(A) from there too) and the
-network topology. One plan, that of the graph decided last, stays cached,
-so the rounds on a graph build it once and memory holds one graph's plan
-between calls: at most 9n + 8|E| + 1 topology entries plus n^2
-counting-test entries and n refusal memos of one (a, c) tuple each.
+_ThresholdPlan of the graph: its allowed sets, each with its N(A) (filled
+on first use; the start reads it too) and refusal memo, and the network
+topology. One plan, that of the graph decided last, stays cached, so the
+rounds on a graph build it once and memory holds one graph's plan between
+calls: at most 9n + 8|E| + 1 topology entries plus n allowed sets of one
+mask and one (a, c) memo tuple each.
 
 Two rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
@@ -208,12 +213,10 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
 
 
 class _SetProfile:
-    """One allowed set A as the counting test reads it, filled on first use.
-
-    nb is N(A); ds holds d_w = |N(w) & A| for each w in N(A), ascending.
-    Both depend on the adjacency alone, so a plan keeps them across
-    thresholds, and a set that an earlier set or its memo settles never
-    computes them. Threads racing on an empty slot store equal values.
+    """One allowed set A of a plan: its mask, size and N(A), with N(A)
+    filled on first use. It depends on the adjacency alone, so a plan keeps
+    it across thresholds. Threads racing on the empty slot store equal
+    values.
 
     no is the refusal memo: (a, c) for the largest threshold a/c at which
     a flow found no S inside A with ratio below a/c, or None. It is one
@@ -221,12 +224,11 @@ class _SetProfile:
     smaller of two such thresholds, which is still one A refused at.
     """
 
-    __slots__ = ("adj", "sub", "size", "nb", "ds", "no")
+    __slots__ = ("adj", "sub", "size", "nb", "no")
 
     def __init__(self, adj: tuple[int, ...], sub: int) -> None:
         self.adj, self.sub, self.size = adj, sub, sub.bit_count()
         self.nb: Optional[int] = None
-        self.ds: Optional[list[int]] = None
         self.no: Optional[tuple[int, int]] = None
 
     def neighborhood(self) -> int:
@@ -240,29 +242,6 @@ class _SetProfile:
                 rest ^= lowb
             self.nb = nb
         return nb
-
-    def sole_minimiser(self, a: int, c: int) -> bool:
-        """Counting test that S = A is the only minimiser of c|N(S)| - a|S|.
-
-        Dropping a nonempty T from A removes from N(A) exactly the w whose
-        neighbours in A all lie in T, and each such w has d_w <= |T|. So the
-        score rises by at least a|T| - c#{w : d_w <= |T|}, which is positive
-        for every T (the empty S included) when a*d > c*i along the d_w
-        sorted ascending, i counting from 1. Sufficient, not necessary.
-        """
-        adj, sub, nb = self.adj, self.sub, self.neighborhood()
-        if c * nb.bit_count() >= a * self.size:  # fails at i = |N(A)|: each d_w <= |A|
-            return False
-        ds = self.ds
-        if ds is None:
-            ds = []
-            while nb:
-                lowb = nb & -nb
-                ds.append((adj[lowb.bit_length() - 1] & sub).bit_count())
-                nb ^= lowb
-            ds.sort()
-            self.ds = ds
-        return all(a * d > c * i for i, d in enumerate(ds, 1))
 
 
 class _ThresholdPlan:
@@ -278,12 +257,12 @@ class _ThresholdPlan:
     on the threshold, so a decision allocates nothing else.
 
     A plan depends on the adjacency alone and is never changed after it
-    is built, apart from the profiles' idempotent lazy slots and their
+    is built, apart from the profiles' idempotent N(A) slots and their
     refusal memos, each written as one value that holds whenever it is
     read, so threads may share it. Its topology takes 9n + 8|E| + 1 list
     entries, fewer than the arrays of one network built arc by arc
-    (12n + 12|E|); its at most n profiles hold at most n degrees and one
-    memo tuple each.
+    (12n + 12|E|); its at most n profiles hold one mask and one memo tuple
+    each.
     """
 
     __slots__ = ("adj", "n", "sets", "first", "out", "to")
@@ -452,42 +431,42 @@ def binding_below_threshold(
     vertices that stay, and augments from there.
 
     What does not depend on t comes from the graph's _ThresholdPlan: the
-    allowed sets, their counting-test profiles, their refusal memos and
-    the network topology. The plan is cached for the graph decided last,
-    so the Dinkelbach rounds of binding_number_flow build it once; a
-    decision allocates only the capacities and Dinic's level arrays. The
-    cache holds one plan: one network's topology plus at most n^2 profile
-    entries and n memo tuples.
+    allowed sets, their N(A) and refusal memos, and the network topology.
+    The plan is cached for the graph decided last, so the Dinkelbach
+    rounds of binding_number_flow build it once; a decision allocates only
+    the capacities and Dinic's level arrays. The cache holds one plan: one
+    network's topology plus at most n profiles of one mask and one memo
+    tuple each.
 
-    The sets are visited largest first. A set that passes the counting
-    test of _SetProfile.sole_minimiser is its own witness without a flow.
-    Witnesses are aggregated over the sets by minimum ratio with the
-    (size, lex) tie-break of _better, a strict total order, so neither
-    the visiting order nor a set skipped for giving a known witness
-    changes the answer. Two rules skip sets without a flow:
+    When t <= 1 the first flow allows every vertex. Its smallest minimiser
+    W over V has f(W) < 0 or is empty. If it is empty (the flow
+    saturates), no S at all has ratio < t: the answer is no, for one flow
+    rather than one per set. Otherwise |N(W)| < t|W| <= |W|, so
+    N(W) != V and W lies inside some allowed set; by the nested-witness
+    rule below, with A' = V, W is the witness of every allowed set
+    containing it. So W joins the candidates and (V, W) the settled
+    pairs, and only sets that miss a vertex of W run a flow. Above 1 this
+    flow proves nothing: S = V has ratio 1 < t and N(V) = V.
+
+    The sets are then visited largest first. Witnesses are aggregated over
+    the sets by minimum ratio with the (size, lex) tie-break of _better, a
+    strict total order, so neither the visiting order nor a set skipped
+    for giving a known witness changes the answer. Two rules skip sets
+    without a flow:
 
     - Nested witnesses. f is submodular, so its minimisers over a set
       form a lattice (Picard and Queyranne 1980) whose least element is
-      the smallest minimiser. Let W' be that of an earlier set A' (0 when
-      A' answered no). Every A with W' inside A inside A' is skipped: the
-      minimum over A is at least that over A' and W' reaches it, so the
-      minimisers over A are those over A' that lie in A, and their least
-      element is W' again. Only flow answers are listed; a set that
-      passes the counting test has W' = A', so no other set lies between.
+      the smallest minimiser. Let W' be that of an earlier flow over A'
+      (0 when A' answered no). Every A with W' inside A inside A' is
+      skipped: the minimum over A is at least that over A' and W' reaches
+      it, so the minimisers over A are those over A' that lie in A, and
+      their least element is W' again.
     - Refusal memo. A set that answered no at t' has every S inside it at
       ratio >= t', so it answers no at every t <= t'. Each profile keeps
       the largest such t' (_SetProfile.no); a decision at t <= t' lists
       the set as a no without a flow. Dinkelbach rounds fall in t, so
       each round skips what earlier rounds refused. This costs one tuple
       per allowed set, held with the plan.
-
-    When t <= 1 and the first flow of a call answers no before any set
-    has answered yes, one more flow, warm from the last, allows every
-    vertex. If it saturates, no S at all has ratio < t: the answer is no.
-    At t <= 1 the converse holds too, as a set with N(S) = V has ratio
-    n/|S| >= 1 >= t, so a no costs two flows, not one per set visited.
-    Above 1 it never saturates (S = V has ratio 1). Running it only after
-    a first no spares the first rounds at t = 1 that answer yes at once.
     """
     t = Fraction(t)
     if t <= 0:
@@ -500,6 +479,13 @@ def binding_below_threshold(
     net: Optional[_ThresholdNetwork] = None  # built when a set first needs it
     best: Optional[tuple[int, int, int]] = None  # (num, den, mask)
     settled: list[tuple[int, int]] = []  # (A', W') of the flow answers and memo noes
+    if a <= c:
+        net = _ThresholdNetwork(plan, a, c)
+        w = net.witness(g.mask_all)
+        if not w:
+            return False, None
+        best = (g.neighborhood(w).bit_count(), w.bit_count(), w)
+        settled.append((g.mask_all, w))
     for profile in plan.sets:
         sub = profile.sub
         if any(sub & ~outer == 0 and w & ~sub == 0 for outer, w in settled):
@@ -508,19 +494,13 @@ def binding_below_threshold(
         if no is not None and a * no[1] <= no[0] * c:
             settled.append((sub, 0))
             continue
-        if profile.sole_minimiser(a, c):
-            smask = sub
-        else:
-            first = net is None
-            if first:
-                net = _ThresholdNetwork(plan, a, c)
-            smask = net.witness(sub)
-            if first and a <= c and not (smask or best) and not net.witness(g.mask_all):
-                return False, None
-            settled.append((sub, smask))
-            if not smask:
-                profile.no = (a, c)
-                continue
+        if net is None:
+            net = _ThresholdNetwork(plan, a, c)
+        smask = net.witness(sub)
+        settled.append((sub, smask))
+        if not smask:
+            profile.no = (a, c)
+            continue
         num = g.neighborhood(smask).bit_count()
         den = smask.bit_count()
         if best is None or _better(num, den, smask, *best):
@@ -533,24 +513,35 @@ def binding_below_threshold(
 def binding_number_flow(g: Graph) -> BindingResult:
     """Exact b(G) by Dinkelbach iteration over threshold decisions.
 
-    The rounds start from the best start witness under _better: a vertex v
-    of least degree delta, and, when delta >= 2, every allowed set
-    A_u = V - N(u) of the graph's _ThresholdPlan, each a valid witness
-    since u lies in A_u and not in N(A_u). For 1 < delta < n - 1 the set
-    A_u of v already beats v: |N(A_u)| <= n - 1 and |A_u| = n - delta, so
-    its ratio is at most (n - 1)/(n - delta) < delta, since
-    delta(n - delta) - (n - 1) = (delta - 1)(n - delta - 1) > 0 (Woodall
-    1973). The round at t = delta would only answer yes, and the first
-    round is often the final no. At delta = 1 that bound gives nothing,
-    and a no at t <= 1 already costs two flows (binding_below_threshold),
-    so the start stays at v.
+    The rounds start from a valid witness of small ratio, chosen by the
+    least degree delta and the least-degree vertex v of least index:
+
+    - delta = 1: the pendant class P = {u : N(u) = N(v)}, the vertices
+      hanging on v's one neighbour x. N(P) = {x} != V, so P is a witness,
+      of ratio 1/|P|. On most extremal constructions such a class is a
+      binding set, so the first round is the final no, and at t <= 1
+      that no costs one flow (binding_below_threshold).
+    - delta >= 2: the best start witness under _better among v and every
+      allowed set A_u = V - N(u) of the graph's _ThresholdPlan, each a
+      valid witness since u lies in A_u and not in N(A_u). For
+      1 < delta < n - 1 the set A_u of v already beats v: |N(A_u)| <= n - 1
+      and |A_u| = n - delta, so its ratio is at most
+      (n - 1)/(n - delta) < delta, since
+      delta(n - delta) - (n - 1) = (delta - 1)(n - delta - 1) > 0 (Woodall
+      1973). The round at t = delta would only answer yes, and the first
+      round is often the final no.
     """
     iso = _isolated_result(g, "flow")
     if iso is not None:
         return iso
-    v = min(range(g.n), key=lambda u: (g.degree(u), u))
-    num, den, witness = g.degree(v), 1, 1 << v
-    if num >= 2:
+    degrees = [row.bit_count() for row in g.adj]
+    num = min(degrees)
+    v = degrees.index(num)
+    den, witness = 1, 1 << v
+    if num == 1:
+        witness = sum(1 << u for u, row in enumerate(g.adj) if row == g.adj[v])
+        den = witness.bit_count()
+    else:
         for profile in _threshold_plan(g.adj).sets:
             nb = profile.neighborhood().bit_count()
             if _better(nb, profile.size, profile.sub, num, den, witness):

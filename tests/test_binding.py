@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import operator
 import random
 import sys
@@ -16,7 +17,6 @@ from bindex.binding import (
     _better,
     _binding_sets_many,
     _lex_key,
-    _SetProfile,
     _threshold_plan,
     _ThresholdPlan,
     binding_below_threshold,
@@ -330,20 +330,6 @@ def _threshold_oracle(g, t):
         if best is None or _better(*cand, *best):
             best = cand
     return (False, None) if best is None else (True, best[2])
-
-
-def test_sole_minimiser_test_is_sound():
-    rng = random.Random(2283)
-    passed = 0
-    for _ in range(600):
-        n = rng.randint(2, 9)
-        g = _random_graph(rng, n, rng.uniform(0.25, 0.9))
-        a, c = rng.randint(1, n), rng.randint(1, n)
-        for sub in {g.mask_all & ~row for row in g.adj}:
-            if _SetProfile(g.adj, sub).sole_minimiser(a, c):
-                passed += 1
-                assert _minimisers(g, sub, a, c)[1] == [sub], (g.adj, sub, a, c)
-    assert passed > 300
 
 
 def test_threshold_witness_matches_subset_oracle():
@@ -685,7 +671,8 @@ def test_dinkelbach_starts_from_the_best_allowed_set(monkeypatch):
     # and the allowed sets V - N(u), below delta; thresholds then fall and
     # only the last decision answers no, and a graph settled by its first
     # decision returns the start set that is best by ratio, size and lex
-    # order. delta = 1: the first threshold is 1.
+    # order. delta = 1: the first threshold is 1/|P|, P the class of
+    # vertices sharing the one neighbour of the least pendant vertex.
     calls = []
     decide = binding_module.binding_below_threshold
 
@@ -703,7 +690,9 @@ def test_dinkelbach_starts_from_the_best_allowed_set(monkeypatch):
         r = binding_number_flow(g)
         ts = [t for t, _ in calls]
         if d == 1:
-            assert ts[0] == 1, g.adj
+            v = next(u for u, row in enumerate(g.adj) if row.bit_count() == 1)
+            pendant = [u for u, row in enumerate(g.adj) if row == g.adj[v]]
+            assert ts[0] == Fraction(1, len(pendant)), g.adj
             continue
         seeded += 1
         starts = []
@@ -719,6 +708,88 @@ def test_dinkelbach_starts_from_the_best_allowed_set(monkeypatch):
             one_round += 1
             assert r.witness == start[3], g.adj
     assert seeded > 200 and one_round > 100, (seeded, one_round)
+
+
+def _extremal_constructions():
+    """general_extremal, bipartite_extremal_K and bipartite_extremal_D (both
+    variants) for r <= 5 and n <= 18: the paper's graphs with b < 1/r."""
+    out = []
+    for r in range(1, 6):
+        for n in range(r + 3, 19):
+            if n >= r + 4:
+                out.append(general_extremal(n, r))
+            out.append(bipartite_extremal_K(n, r))
+            if n >= r + 5:
+                out += [bipartite_extremal_D(n, r, v) for v in ("ceil", "floor")]
+    return out
+
+
+def test_extremal_constructions_take_one_decision(monkeypatch):
+    # the start (the pendant class when delta = 1, the best allowed set
+    # otherwise) is a binding set, so the first decision is the final no;
+    # in D(3,2;1,1) = bipartite_extremal_D(7, 1, "ceil") it is not: its
+    # pendant pair has ratio 1/2, the five vertices of degree 1 and 2
+    # have 2/5, so one yes comes first
+    calls = []
+    decide = binding_module.binding_below_threshold
+    monkeypatch.setattr(
+        binding_module, "binding_below_threshold", lambda g, t: calls.append(t) or decide(g, t)
+    )
+    constructions = _extremal_constructions()
+    assert len(constructions) == 235
+    rounds = {}
+    for c in constructions:
+        calls.clear()
+        r = binding_number_flow(c.graph)
+        assert r.value == binding_number_bruteforce(c.graph).value, c.label
+        rounds[c.label] = len(calls)
+    assert {label: k for label, k in rounds.items() if k != 1} == {"D(3,2;1,1)": 2}
+
+
+def test_no_at_most_one_takes_one_flow(monkeypatch):
+    # t <= b(G) with t <= 1 answers no, and the flow over every vertex
+    # decides it alone
+    calls = []
+    maxflow = Dinic.maxflow
+    monkeypatch.setattr(Dinic, "maxflow", lambda net, s, t: calls.append(s) or maxflow(net, s, t))
+    rng = random.Random(2293)
+    graphs = [c.graph for c in _extremal_constructions()[::3]]
+    graphs += [_random_graph(rng, rng.randint(3, 12), rng.uniform(0.15, 0.9)) for _ in range(300)]
+    noes = 0
+    for g in graphs:
+        b = binding_number_bruteforce(g).value
+        if b == 0:
+            continue
+        for t in (min(b, Fraction(1)), Fraction(1, g.n)):  # b >= 1/(n - 1)
+            calls.clear()
+            assert binding_below_threshold(g, t) == (False, None), (g.adj, t)
+            assert len(calls) == 1, (g.adj, t)
+            noes += 1
+    assert noes > 500
+
+
+def _pinned_flow_graphs():
+    """3120 seeded G(n, p) with n = 3..40, then the extremal constructions."""
+    rng = random.Random(4242)
+    graphs = []
+    for _ in range(3120):
+        n = rng.randint(3, 40)
+        graphs.append(_random_graph(rng, n, rng.choice((0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9))))
+    return graphs + [c.graph for c in _extremal_constructions()]
+
+
+# SHA-256 of the lines "value witness-in-hex" that binding_number_flow gives
+# on _pinned_flow_graphs. The flow witness is a valid set of least ratio but
+# not the canonical one, so a change of rule that moves it shows up here.
+FLOW_DIGEST = "c5e00acb7a398d69baef941b5a354d7e1b39f3b470a1daaf20dd9934c9027cd2"
+
+
+def test_flow_outputs_pinned():
+    lines = []
+    for g in _pinned_flow_graphs():
+        r = binding_number_flow(g)
+        lines.append(f"{r.value} {r.witness:x}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == FLOW_DIGEST
 
 
 def test_limits():
