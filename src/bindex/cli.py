@@ -3,6 +3,11 @@
 Exit codes: 0 success or verified pass (hypothesis_not_met counts as 0,
 it is not a counterexample), 1 verification fail, 2 usage or domain
 errors, including unreadable input and malformed graph6.
+
+A command line whose first token names a subcommand is parsed by that
+subcommand's own parser, the object the top-level parser would hand the
+rest of the tokens to; see _parse. Every other command line, and every
+one that leaves tokens over, goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -68,9 +73,19 @@ def _parts(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected comma-separated integers")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parse_args keeps no state)."""
+    """The argument parser, built once per process (parse_args keeps no state).
+
+    It is the one declaration of the grammar. run parses most command lines
+    with the subcommand parser it holds (see _parse), so every help text,
+    usage error and exit code comes from these same parser objects.
+    """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="bindex", description="binding number toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -168,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_input(p)
     common(p)
 
-    return ap
+    return ap, sub.choices
 
 
 def _read_graph(args) -> Graph:
@@ -186,15 +201,19 @@ def _read_graph(args) -> Graph:
 def _emit(args, text: str) -> None:
     """Write text, newline-terminated, to stdout or to the --out file.
 
-    The file is opened without O_TRUNC, written from its start and, when it
-    is a regular file, cut to the written length; a FIFO or a device gets
-    the bytes alone, as O_TRUNC would leave it. A new file gets mode
-    0o666 & ~umask. On ext4 mounted with `discard`, truncating frees the
-    file's block on every call and the write allocates it again: 300 calls
-    of a 45-byte rewrite took a median of 113-128 us with O_TRUNC against
-    13-24 us in place (2-vCPU x86-64 box). On tmpfs the in-place rewrite
-    took 12-19 us against 11-14 us, the cost of its fstat and ftruncate.
-    A path that cannot be opened or written raises DomainError.
+    The file gets the UTF-8 bytes of text with each newline written as
+    os.linesep, as a text-mode file would. It is opened without O_TRUNC,
+    written from its start through the descriptor and, when it is a regular
+    file, cut to the written length; a FIFO or a device gets the bytes
+    alone, as O_TRUNC would leave it. A new file gets mode 0o666 & ~umask.
+    On ext4 mounted with `discard`, truncating frees the file's block on
+    every call and the write allocates it again: 300 calls of a 45-byte
+    rewrite took a median of 113-128 us with O_TRUNC against 13-24 us in
+    place (2-vCPU x86-64 box), both through a text-mode file object. Plain
+    os.write and os.ftruncate then cut the in-place rewrite from 13.3-13.4
+    to 5.9-6.0 us on that ext4, and from 19-20 to 7.7-8.1 us on tmpfs
+    (three rounds of 300 calls each). A path that cannot be opened or
+    written raises DomainError.
     """
     if not text.endswith("\n"):
         text += "\n"
@@ -202,12 +221,17 @@ def _emit(args, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
         return
+    data = text.replace("\n", os.linesep).encode("utf-8")
     try:
         fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}")
 
@@ -295,7 +319,6 @@ def _emit_construction(args, cons) -> int:
 
 
 def _run(args) -> int:
-    threads = args.threads if getattr(args, "threads", None) else _default_threads()
     if args.cmd == "binding":
         g = _read_graph(args)
         if args.method == "auto":
@@ -350,8 +373,10 @@ def _run(args) -> int:
         return _emit_report(args, rep)
     if args.cmd == "verify":
         if args.what == "lemma6":
+            threads = args.threads or _default_threads()
             rep = enumerate_bipartite_max(args.p, args.q, args.r, threads=threads)
         elif args.what == "thm6":
+            threads = args.threads or _default_threads()
             rep = enumerate_bipartite_theorem6(args.n, args.r, threads=threads)
         elif args.what == "properties":
             rep = enumerate_general_properties(args.n, samples=args.samples, seed=args.seed)
@@ -369,10 +394,31 @@ def _run(args) -> int:
     raise DomainError(f"unknown command {args.cmd!r}")
 
 
+def _parse(argv) -> argparse.Namespace:
+    """parse_args of the top-level parser, mostly without running it.
+
+    The top-level parser has no option but -h, so when argv[0] names a
+    subcommand it hands argv[1:], whatever they hold, to that subcommand's
+    parser and sets cmd to argv[0]. _parse makes that call itself, which
+    skips the top-level scan of every token: about half of argparse's time
+    on a `bindex binding` query. A usage error, -h or --help inside the
+    subcommand comes from the same parser object and exits the same way.
+    Tokens left over go back through the top-level parse_args, so that its
+    "unrecognized arguments" error is the one printed; so does an argv
+    whose first token names no subcommand.
+    """
+    top, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.cmd = argv[0]
+            return args
+    return top.parse_args(argv)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

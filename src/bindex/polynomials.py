@@ -314,16 +314,34 @@ def _cauchy_bound(p: IntPolynomial) -> int:
     return 1 + (top + lead - 1) // lead
 
 
-def _newton_guess(coeffs: Sequence[int], bound: int, steps: int) -> Union[float, None]:
-    """Float Newton iterate from bound down toward the largest real root.
+def _fujiwara_bound(cs: Sequence[float]) -> float:
+    """Fujiwara's bound 2 max_k |a_(d-k) / a_d|^(1/k) on |roots|, a_0 halved.
 
-    Stops when an iterate no longer falls. None on float overflow, a zero
-    derivative, a non-finite step, or no stop within steps (the number of
-    bisection steps the guess is meant to save).
+    cs holds the coefficients as floats, the leading one first. A plain
+    loop: at degree 2-4 a generator and max() cost as much as the Newton
+    steps the bound saves.
+    """
+    d = len(cs) - 1
+    top = abs(cs[d] / (2 * cs[0])) ** (1 / d)
+    for k in range(1, d):
+        q = abs(cs[k] / cs[0]) ** (1 / k)
+        if q > top:
+            top = q
+    return 2 * top
+
+
+def _newton_guess(coeffs: Sequence[int], bound: int, steps: int) -> Union[float, None]:
+    """Float Newton iterate toward the largest real root, from above it.
+
+    It starts at the smaller of bound and Fujiwara's bound, which is often
+    far lower than the Cauchy bound and so saves steps, and stops when an
+    iterate no longer falls. None on float overflow, a zero derivative, a
+    non-finite step, or no stop within steps (the number of bisection steps
+    the guess is meant to save).
     """
     try:
         cs = [float(c) for c in reversed(coeffs)]
-        x = float(bound)
+        x = min(float(bound), _fujiwara_bound(cs))
     except OverflowError:
         return None
     for _ in range(steps):

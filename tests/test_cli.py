@@ -1,5 +1,7 @@
 """Command line front end: grammar, output text, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+import bindex.cli as cli
 import bindex.verify as verify
-from bindex.cli import _default_threads, _emit_report, run
+from bindex.cli import _default_threads, _emit_report, _parse, build_parser, run
 from bindex.verify import VerificationReport
 
 
@@ -286,3 +289,88 @@ def test_unwritable_out_exits_two(target, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in captured.err
+
+
+def _outcome(parse, argv):
+    """(Namespace or exit code, stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_the_top_level_parser(argv):
+    assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv), argv
+
+
+# every README example, the usage-error argvs above, the benchmark's query,
+# and the edges of argparse's grammar: help, abbreviations, "=" values,
+# "--", repeated and unknown options, nested subcommands, bad choices and
+# type errors, leftovers at every depth
+_README_ARGVS = [
+    "binding --g6 DQw", "toughness --g6 Bg", "spectral --g6 Cr",
+    "construct general --n 14 --r 1", "construct dnest --p 2,3 --q 1,2",
+    "regime thm6 --n 25 --r 3", "regime thm7 --n 13 --r 2",
+    "verify lemma6 --p 5 --q 3 --r 2", "verify thm6 --n 9 --r 1",
+    "verify properties --n 6", "verify identities",
+    "scan family --n 16 --r 1", "scan bipfamily --p 8 --q 3 --r 3",
+    "scan lemma12 --n 21 --r 4 --format json --out report.json",
+    "encode --in p3.el", "decode --g6 DQw",
+]
+_USAGE_ERROR_ARGVS = [
+    "binding", "nonsense", "regime thm6 --n 4 --r 3", "verify lemma6 --p 6 --q 5 --r 2",
+    "binding --g6 Bw --bogus", "spectral --g6 DQw --tol 1e-9",
+    "binding --g6 DQw --format json", "toughness --g6 Bg --format text",
+    "spectral --g6 Cr --format csv", "encode --g6 Bw --format json",
+    "decode --g6 Bw --format text", "construct general --n 10 --r 2 --format csv",
+    "construct dnest --p 2,3 --q 1,2 --format csv", "regime thm6 --n 25 --r 3 --format csv",
+]
+_EDGE_ARGVS = [
+    "", "-h", "--help", "--h", "binding -h", "binding --h", "construct -h",
+    "construct general -h", "verify lemma6 --help", "-h binding",
+    "binding --g6 Bw --method auto --threads 1 --out q.txt",
+    "binding --g6=Bw --meth=flow", "binding --g6 Bw --meth brute --thr 2",
+    "binding --g6 Bw --g6 Cr", "binding --g6 Bw --method fast", "binding --g6",
+    "binding --g6 Bw -- extra", "binding -- --g6 Bw", "-- binding --g6 Bw",
+    "binding --g6 Bw extra", "binding --threads 0 --g6 Bw", "binding --threads x",
+    "construct", "construct nonsense", "construct general --n 10", "construct general --n x --r 2",
+    "construct general --n 10 --r 2 --bogus", "construct dnest --p 2,x --q 1",
+    "construct bipD --n 25 --r 3 --variant middle", "verify properties --n 6 --samples -1",
+    "verify identities extra", "scan", "scan lemma12 --n 13 --r 2 --format xml",
+    "--g6 Bw binding", "Binding --g6 Bw", "toughness --in",
+]
+_CORPUS = [a.split() for a in _README_ARGVS + _USAGE_ERROR_ARGVS + _EDGE_ARGVS]
+
+
+@pytest.mark.parametrize("argv", _CORPUS, ids=" ".join)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    assert_parses_as_the_top_level_parser(argv)
+
+
+def test_a_binding_query_skips_the_top_level_parser(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    top = build_parser()
+    monkeypatch.setattr(top, "parse_args", refuse)
+    monkeypatch.setattr(top, "parse_known_args", refuse)
+    path = tmp_path / "q.txt"
+    argv = ["binding", "--g6", "DQw", "--method", "auto", "--threads", "1", "--out", str(path)]
+    assert run(argv) == 0
+    assert path.read_text(encoding="utf-8") == "b = 1/1\nwitness = {3}\nmethod = brute\n"
+
+
+def test_default_threads_only_where_it_is_read(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_default_threads", lambda: calls.append(None) or 1)
+    assert run(["binding", "--g6", "Bw"]) == 0
+    assert run(["verify", "identities"]) == 0
+    assert run(["verify", "lemma6", "--p", "3", "--q", "2", "--r", "1", "--threads", "1"]) == 0
+    assert not calls
+    assert run(["verify", "lemma6", "--p", "3", "--q", "2", "--r", "1"]) == 0
+    assert run(["verify", "thm6", "--n", "5", "--r", "1"]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()

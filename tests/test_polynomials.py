@@ -461,6 +461,26 @@ def test_fallbacks_give_the_bisection_bracket(monkeypatch):
         assert bool(calls) == (lo == hi), coeffs
 
 
+def test_seeded_polynomials_left_to_full_bisection():
+    """Seeded polynomials whose landing fails, so bisection starts at (0, B].
+
+    Newton started at the Cauchy bound left 231 of them, 107 for running
+    out of steps; started at the smaller of the Cauchy and Fujiwara bounds
+    it leaves 124. 116 of those have a largest root on the bisection grid,
+    which no cell check can certify.
+    """
+    full = []
+    for p in _seeded_polynomials(61, 2400):
+        try:
+            iso = _Isolator(p)
+        except DomainError:
+            continue
+        if not iso.exact and iso.den == 1:
+            full.append(p)
+    assert len(full) == 124
+    assert sum(lo == hi for lo, hi in map(_bisection, full)) == 116
+
+
 @pytest.mark.parametrize("coeffs, lo, hi", [
     # float sqrt(27) rounds up across a level-45 cell boundary: rho is one cell down
     ((-27, 0, 1), '11426460016923/2199023255552', '45705840067699/8796093022208'),
