@@ -33,16 +33,23 @@ it is the best allowed set A_u = V - N(u), of ratio below delta for
 flow with every vertex allowed, which answers a no alone and settles
 every allowed set containing its witness on a yes. So on most extremal
 constructions the value costs one decision of one flow. A dense random
-graph needs one decision at t > 1 of up to n flows: G(n, 0.3) takes
-1.6-1.7 s at n = 640 and 10.0-10.4 s at n = 1280 on a 2-vCPU x86-64 box.
+graph needs one decision at t > 1 of up to n flows. One call on
+G(n, 0.3), on a 2-vCPU x86-64 box: 0.56-0.59 s at n = 640 and 2.9-3.3 s
+at n = 1280 (two seeds each), 14.8 s at n = 2560 and 37 s at n = 4096,
+the vertex cap; the call raises the peak RSS by at most 7 MB.
+
+The network (_ThresholdNetwork) has no arc list. Its middle arcs have
+unbounded capacity, so they are read from the adjacency masks, and its
+state is the flow on the arcs that carry some plus masks of the right
+vertices with sink room and of the left vertices sending to each right
+one. A Dinic phase levels it one layer at a time by ORs of those masks.
 
 What a decision needs that does not depend on the threshold is a
 _ThresholdPlan of the graph: its allowed sets, each with its N(A) (filled
-on first use; the start reads it too) and refusal memo, and the network
-topology. One plan, that of the graph decided last, stays cached, so the
-rounds on a graph build it once and memory holds one graph's plan between
-calls: at most 9n + 8|E| + 1 topology entries plus n allowed sets of one
-mask and one (a, c) memo tuple each.
+on first use; the start reads it too) and refusal memo. One plan, that of
+the graph decided last, stays cached, so the rounds on a graph build it
+once and memory holds one graph's plan between calls: at most n allowed
+sets of one mask and one (a, c) memo tuple each.
 
 Two rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
@@ -248,51 +255,24 @@ class _ThresholdPlan:
     """What every threshold decision on one graph shares.
 
     sets: a _SetProfile for each distinct allowed set A_u = V - N(u),
-    largest first, ties in order of first u. The rest is the topology of
-    the network of _ThresholdNetwork, in the arc order one add_edge per
-    arc would give: arc 2v runs from the source to left v, arc 2n + 2w
-    from right w to the sink, and the middle arcs v -> w start at
-    first[v], one per neighbour w in increasing order, each followed by
-    its reverse. out and to are the Dinic arrays. Only capacities depend
-    on the threshold, so a decision allocates nothing else.
+    largest first, ties in order of first u. adj and n are the graph's;
+    the network of _ThresholdNetwork reads its middle arcs from adj, so a
+    plan holds no topology and a decision allocates only its flow state.
 
     A plan depends on the adjacency alone and is never changed after it
     is built, apart from the profiles' idempotent N(A) slots and their
     refusal memos, each written as one value that holds whenever it is
-    read, so threads may share it. Its topology takes 9n + 8|E| + 1 list
-    entries, fewer than the arrays of one network built arc by arc
-    (12n + 12|E|); its at most n profiles hold one mask and one memo tuple
-    each.
+    read, so threads may share it. Its at most n profiles hold one mask
+    and one memo tuple each.
     """
 
-    __slots__ = ("adj", "n", "sets", "first", "out", "to")
+    __slots__ = ("adj", "n", "sets")
 
     def __init__(self, adj: tuple[int, ...]) -> None:
         n = len(adj)
         self.adj, self.n = adj, n
         allowed = dict.fromkeys(((1 << n) - 1) & ~row for row in adj)
         self.sets = [_SetProfile(adj, sub) for sub in sorted(allowed, key=lambda m: -m.bit_count())]
-        first = [4 * n]
-        for row in adj:
-            first.append(first[-1] + 2 * row.bit_count())
-        to = [0] * first[-1]
-        to[0 : 2 * n : 2] = range(2, 2 + n)
-        to[2 * n : 4 * n : 2] = [1] * n
-        to[2 * n + 1 : 4 * n : 2] = range(2 + n, 2 + 2 * n)
-        into: list[list[int]] = [[2 * n + 2 * w] for w in range(n)]  # arcs leaving right w
-        e = 4 * n
-        for v, row in enumerate(adj):
-            while row:
-                wb = row & -row
-                w = wb.bit_length() - 1
-                to[e] = 2 + n + w
-                to[e + 1] = 2 + v
-                into[w].append(e + 1)
-                row ^= wb
-                e += 2
-        left = [[2 * v + 1, *range(first[v], first[v + 1], 2)] for v in range(n)]
-        self.first, self.to = first, to
-        self.out = [list(range(0, 2 * n, 2)), list(range(2 * n + 1, 4 * n, 2)), *left, *into]
 
 
 @functools.lru_cache(maxsize=1)
@@ -307,115 +287,222 @@ def _threshold_plan(adj: tuple[int, ...]) -> _ThresholdPlan:
     return _ThresholdPlan(adj)
 
 
-class _ThresholdNetwork:
+class _ThresholdNetwork(Dinic):
     """The one flow network of a threshold decision a/c, moved between sets.
 
-    Nodes: 0 source, 1 sink, 2 + v the left copy of v, 2 + n + w the right
-    copy of w. Arcs (laid out by _ThresholdPlan): source -> left v,
-    left v -> right w for each edge vw (capacity a*n + 1, above any cut),
-    right w -> sink (capacity c). The allowed set A is imposed by giving
-    the source arcs of its vertices capacity a and all others 0. A cut
-    whose left source side is S costs a|A - S| + c|N(S)|.
+    Cunningham's network: source -> left v of capacity a for v in the
+    allowed set A (0 for the others), left v -> right w for each edge vw
+    of unbounded capacity, right w -> sink of capacity c. A cut whose left
+    source side is S costs a|A - S| + c|N(S)|.
+
+    The middle arcs have unbounded capacity, so only their flow is state:
+    they are read from the adjacency masks and the network keeps no arc
+    list. Its state:
+
+    - res[v], the residual capacity of v's source arc; avail, the mask of
+      left v with res[v] > 0;
+    - fl[v], the flow on each middle arc v -> w that carries some, as a
+      dict {w: flow};
+    - room[w], the residual capacity of w's sink arc; free, the mask of
+      right w with room[w] > 0; into[w], the mask of left v with flow
+      into w, whose reverse arcs w -> v are the residual ones.
+
+    Dinic.maxflow is the phase loop, run unchanged over the _bfs and _dfs
+    below; the out, to and cap arrays of an arc-list Dinic stay empty, and
+    the min-cut side is reach, not Dinic.source_side.
     """
+
+    __slots__ = ("plan", "a", "current", "res", "avail", "fl", "room", "free", "into", "layers", "reach")
 
     def __init__(self, plan: _ThresholdPlan, a: int, c: int) -> None:
         n = plan.n
+        # Dinic.maxflow clears n entries of it before each phase: none here
+        self.n, self.out, self.to, self.cap, self.level, self.it = 0, (), (), (), (), []
         self.plan, self.a = plan, a
-        middle = (len(plan.to) - 4 * n) // 2
-        self.cap = [0, 0] * n + [c, 0] * n + [a * n + 1, 0] * middle
-        self.net = Dinic.from_arcs(plan.out, plan.to, self.cap)
         self.current = 0  # the allowed set imposed now
-        self.flow = 0
+        self.res, self.avail = [0] * n, 0
+        self.fl: list[dict[int, int]] = [{} for _ in range(n)]
+        self.room, self.free, self.into = [c] * n, (1 << n) - 1, [0] * n
+        self.layers: list[int] = []  # the level graph of the phase, one mask per layer
+        self.reach = 0  # the left vertices levelled by the last search
+
+    @property
+    def flow(self) -> int:
+        """The value of the flow held now."""
+        return self.a * self.current.bit_count() - sum(self.res)
 
     def _move_to(self, sub: int) -> None:
         """Cancel the flow of the left vertices leaving, open those entering.
 
-        Every flow path is source-v-w-sink, so the flow through v is
-        cancelled arc by arc along its middle arcs, until the flow of its
-        source arc is used up.
+        Every flow path is source-v-w-sink, so cancelling v's flow only
+        returns it to the sink arcs of the w that v sends to.
         """
-        cap, first, to = self.cap, self.plan.first, self.plan.to
+        res, fl, room, into = self.res, self.fl, self.room, self.into
+        free = self.free
         leaving = self.current & ~sub
         while leaving:
             lowb = leaving & -leaving
             leaving ^= lowb
             v = lowb.bit_length() - 1
-            e = 2 * v
-            f = cap[e + 1]
-            cap[e] = cap[e + 1] = 0
-            self.flow -= f
-            m = first[v]
-            while f:
-                x = cap[m + 1]
-                if x:
-                    k = 2 * to[m] - 4  # the sink arc of the right node to[m]
-                    cap[m] += x
-                    cap[m + 1] = 0
-                    cap[k] += x
-                    cap[k + 1] -= x
-                    f -= x
-                m += 2
+            res[v] = 0
+            for w, x in fl[v].items():
+                room[w] += x
+                into[w] ^= lowb
+                free |= 1 << w
+            fl[v].clear()
         entering = sub & ~self.current
+        self.avail = self.avail & sub | entering
         while entering:
             lowb = entering & -entering
-            cap[2 * lowb.bit_length() - 2] = self.a
+            res[lowb.bit_length() - 1] = self.a
             entering ^= lowb
-        self.current = sub
+        self.free, self.current = free, sub
 
     def _push_direct(self) -> None:
         """Greedily fill source-v-w-sink paths whose sink arc has room.
 
         Cheaper than a Dinic phase, which then only has to reroute.
         """
-        cap, plan = self.cap, self.plan
-        adj, first, n = plan.adj, plan.first, plan.n
-        free = 0
-        for w, x in enumerate(cap[2 * n : 4 * n : 2]):
-            if x:
-                free |= 1 << w
-        rest = self.current
+        adj, res, fl, room, into = self.plan.adj, self.res, self.fl, self.room, self.into
+        avail, free = self.avail, self.free
+        rest = avail
         while rest and free:
             lowb = rest & -rest
-            v = lowb.bit_length() - 1
             rest ^= lowb
-            e, row = 2 * v, adj[v]
-            cand = row & free
-            while cap[e] and cand:
+            v = lowb.bit_length() - 1
+            cand = adj[v] & free
+            if not cand:
+                continue
+            r, fv = res[v], fl[v]
+            while r and cand:
                 wb = cand & -cand
                 cand ^= wb
-                m = first[v] + 2 * (row & (wb - 1)).bit_count()
-                k = 2 * n + 2 * wb.bit_length() - 2
-                f = min(cap[e], cap[k])
-                cap[e] -= f
-                cap[e + 1] += f
-                cap[m] -= f
-                cap[m + 1] += f
-                cap[k] -= f
-                cap[k + 1] += f
-                self.flow += f
-                if not cap[k]:
+                w = wb.bit_length() - 1
+                x = room[w] if room[w] < r else r
+                r -= x
+                fv[w] = fv.get(w, 0) + x
+                into[w] |= lowb
+                room[w] -= x
+                if not room[w]:
                     free ^= wb
+            res[v] = r
+            if not r:
+                avail ^= lowb
+        self.avail, self.free = avail, free
+
+    def _bfs(self, s: int, t: int) -> bool:
+        """Level the residual network from the source, by masks.
+
+        Layers alternate left and right. The first is avail; a right layer
+        is every right vertex adjacent to the left layer before it and not
+        levelled yet; a left layer is every left vertex with flow into the
+        right layer before it and not levelled yet. The search stops at the
+        first right layer that meets free, keeping only those hits as the
+        last layer. When no layer does, every left vertex reachable from
+        the source is levelled, and reach holds them.
+        """
+        adj, into, free = self.plan.adj, self.into, self.free
+        left = seen_left = self.avail
+        seen_right = 0
+        layers = self.layers = []
+        while left:
+            layers.append(left)
+            right = 0
+            while left:
+                lowb = left & -left
+                right |= adj[lowb.bit_length() - 1]
+                left ^= lowb
+            right &= ~seen_right
+            if right & free:
+                layers.append(right & free)
+                return True
+            layers.append(right)
+            seen_right |= right
+            while right:
+                lowb = right & -right
+                left |= into[lowb.bit_length() - 1]
+                right ^= lowb
+            left &= ~seen_left
+            seen_left |= left
+        self.reach = seen_left
+        return False
+
+    def _dfs(self, s: int, t: int) -> int:
+        """Blocking flow over the layers of _bfs; returns the flow added.
+
+        A path holds one vertex per layer: left v at even, right w at odd
+        positions, ending at a hit. A vertex found to be a dead end leaves
+        its layer, so the layer masks serve as both levels and iterators.
+        """
+        adj, res, fl, room, into = self.plan.adj, self.res, self.fl, self.room, self.into
+        layers = self.layers
+        end = len(layers)
+        total = 0
+        path: list[int] = []
+        while True:
+            i = len(path)
+            if i == end:
+                # the bottleneck: v's source arc, the reverse arcs, w's sink arc
+                v, w = path[0], path[-1]
+                x = res[v] if res[v] < room[w] else room[w]
+                for j in range(2, end, 2):
+                    y = fl[path[j]][path[j - 1]]
+                    if y < x:
+                        x = y
+                total += x
+                # saturated arcs from the sink back, so cut ends at the first
+                cut = end
+                room[w] -= x
+                if not room[w]:
+                    self.free ^= 1 << w
+                    layers[-1] ^= 1 << w
+                    cut = end - 1
+                for j in range(end - 2, -1, -2):
+                    v, w = path[j], path[j + 1]
+                    fv, vb = fl[v], 1 << v
+                    fv[w] = fv.get(w, 0) + x
+                    into[w] |= vb
+                    if j:
+                        w = path[j - 1]
+                        fv[w] -= x
+                        if not fv[w]:
+                            del fv[w]
+                            into[w] ^= vb
+                            cut = j
+                res[v] -= x
+                if not res[v]:
+                    self.avail ^= vb
+                    layers[0] ^= vb
+                    cut = 0
+                del path[cut:]
+                continue
+            if not i:
+                cand = layers[0]
+            elif i & 1:
+                cand = adj[path[-1]] & layers[i]
+            else:
+                cand = into[path[-1]] & layers[i]
+            if cand:
+                path.append((cand & -cand).bit_length() - 1)
+            elif i:
+                layers[i - 1] ^= 1 << path.pop()
+            else:
+                return total
 
     def witness(self, sub: int) -> int:
         """Smallest minimiser of c|N(S)| - a|S| over S inside sub, or 0.
 
         0 means the minimum is 0, reached by the empty S. The minimiser is
         the left part of the residual-reachable source side after a
-        maximum flow, the smallest min-cut source side, whichever maximum
-        flow was found; so it does not depend on the flow kept from the
+        maximum flow, which the last, failing search of Dinic.maxflow has
+        levelled: the smallest min-cut source side, whichever maximum flow
+        was found, so it does not depend on the flow kept from the
         previous set.
         """
         self._move_to(sub)
         self._push_direct()
-        self.flow += self.net.maxflow(0, 1)
-        if self.flow >= self.a * sub.bit_count():
-            return 0
-        n = self.plan.n
-        smask = 0
-        for node in self.net.source_side(0):
-            if 2 <= node < 2 + n:
-                smask |= 1 << (node - 2)
-        return smask
+        self.maxflow(0, 1)
+        return self.reach
 
 
 def binding_below_threshold(
@@ -431,11 +518,11 @@ def binding_below_threshold(
     vertices that stay, and augments from there.
 
     What does not depend on t comes from the graph's _ThresholdPlan: the
-    allowed sets, their N(A) and refusal memos, and the network topology.
-    The plan is cached for the graph decided last, so the Dinkelbach
-    rounds of binding_number_flow build it once; a decision allocates only
-    the capacities and Dinic's level arrays. The cache holds one plan: one
-    network's topology plus at most n profiles of one mask and one memo
+    allowed sets, their N(A) and refusal memos. The plan is cached for the
+    graph decided last, so the Dinkelbach rounds of binding_number_flow
+    build it once; a decision allocates only the network's flow state,
+    O(n) lists and masks plus one entry per arc that carries flow. The
+    cache holds one plan: at most n profiles of one mask and one memo
     tuple each.
 
     When t <= 1 the first flow allows every vertex. Its smallest minimiser

@@ -10,6 +10,11 @@ caller may change capacities between calls (cancel flow, open or close
 arcs) and augment again from a warm start instead of rebuilding.
 Networks that share one topology start from prebuilt arc arrays
 (Dinic.from_arcs) and own only their capacities.
+
+The threshold decisions of binding run on a subclass,
+binding._ThresholdNetwork, which keeps no arc list: its middle arcs are
+read from adjacency masks, it overrides _bfs and _dfs, and maxflow below
+is its phase loop, unchanged.
 """
 
 from __future__ import annotations

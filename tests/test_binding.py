@@ -18,6 +18,7 @@ from bindex.binding import (
     _binding_sets_many,
     _lex_key,
     _threshold_plan,
+    _ThresholdNetwork,
     _ThresholdPlan,
     binding_below_threshold,
     binding_number_bruteforce,
@@ -390,20 +391,38 @@ def test_threshold_plan_follows_interleaved_graphs():
                 assert binding_below_threshold(x, t) == _threshold_oracle(x, t), (x.adj, t)
 
 
-def test_threshold_plan_lays_out_the_add_edge_network():
+def test_threshold_network_matches_an_add_edge_dinic():
+    # one network moved through allowed sets, each checked against a fresh
+    # Dinic built arc by arc on the same capacities: a on the source arcs
+    # of the set, a*n + 1 (above any cut) on the middle arcs, c on the sink
+    # arcs; V is the set of the first flow at t <= 1
     rng = random.Random(2286)
-    for n in (1, 2, 5, 9):
-        g = _random_graph(rng, n, 0.5)
-        net = Dinic(2 + 2 * n)
-        for v in range(n):
-            net.add_edge(0, 2 + v, 0)
-        for w in range(n):
-            net.add_edge(2 + n + w, 1, 1)
-        for v in range(n):
-            for w in vertices_of(g.adj[v]):
-                net.add_edge(2 + v, 2 + n + w, 1)
+    below = above = yes = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        g = _random_graph(rng, n, rng.uniform(0.2, 0.9))
+        a, c = rng.randint(1, n + 1), rng.randint(1, n + 1)
+        below += a < c
+        above += a > c
         plan = _ThresholdPlan(g.adj)
-        assert (plan.out, plan.to) == (net.out, net.to), g.adj
+        net = _ThresholdNetwork(plan, a, c)
+        subs = [p.sub for p in plan.sets] + [g.mask_all]
+        for _ in range(6):
+            sub = rng.choice(subs)
+            ref = Dinic(2 + 2 * n)
+            for v in range(n):
+                ref.add_edge(0, 2 + v, a if sub >> v & 1 else 0)
+            for w in range(n):
+                ref.add_edge(2 + n + w, 1, c)
+            for v in range(n):
+                for w in vertices_of(g.adj[v]):
+                    ref.add_edge(2 + v, 2 + n + w, a * n + 1)
+            value = ref.maxflow(0, 1)
+            side = sum(1 << (x - 2) for x in ref.source_side(0) if 2 <= x < 2 + n)
+            assert net.witness(sub) == side, (g.adj, a, c, sub)
+            assert net.flow == value, (g.adj, a, c, sub)
+            yes += side != 0
+    assert below > 100 and above > 100 and yes > 300
 
 
 def test_flow_from_threads_matches_serial():
