@@ -33,10 +33,12 @@ it is the best allowed set A_u = V - N(u), of ratio below delta for
 flow with every vertex allowed, which answers a no alone and settles
 every allowed set containing its witness on a yes. So on most extremal
 constructions the value costs one decision of one flow. A dense random
-graph needs one decision at t > 1 of up to n flows. One call on
-G(n, 0.3), on a 2-vCPU x86-64 box: 0.56-0.59 s at n = 640 and 2.9-3.3 s
-at n = 1280 (two seeds each), 14.8 s at n = 2560 and 37 s at n = 4096,
-the vertex cap; the call raises the peak RSS by at most 7 MB.
+graph needs one decision at t > 1, a no whose smallest allowed sets
+are deferred (below) and never run: on G(n, 0.3) it runs about two
+thirds of the n flows. One call on G(n, 0.3), seed 1, on a 2-vCPU x86-64
+box: 0.23 s at n = 640, 1.04 s at n = 1280, 5.3 s at n = 2560 and
+18.5 s at n = 4096, the vertex cap; the call raises the peak RSS by at
+most 6 MB.
 
 The network (_ThresholdNetwork) has no arc list. Its middle arcs have
 unbounded capacity, so they are read from the adjacency masks, and its
@@ -45,19 +47,24 @@ vertices with sink room and of the left vertices sending to each right
 one. A Dinic phase levels it one layer at a time by ORs of those masks.
 
 What a decision needs that does not depend on the threshold is a
-_ThresholdPlan of the graph: its allowed sets, each with its N(A) (filled
-on first use; the start reads it too) and refusal memo. One plan, that of
-the graph decided last, stays cached, so the rounds on a graph build it
-once and memory holds one graph's plan between calls: at most n allowed
-sets of one mask and one (a, c) memo tuple each.
+_ThresholdPlan of the graph: its allowed sets, each with its twin count
+(the vertices u of one A_u share N(u)) and refusal memo. One plan, that
+of the graph decided last, stays cached, so the rounds on a graph build
+it once and memory holds one graph's plan between calls: at most n
+allowed sets of one mask, one count and one (a, c) memo tuple each.
 
-Two rules settle allowed sets without a flow; binding_below_threshold
+Three rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
 inside an earlier set A' whose flow witness W' lies inside A has W' as
 its witness too, since the minimisers of c|N(S)| - a|S| form a lattice
 (Picard and Queyranne 1980). Refusal memo: a set that answered no at t'
 answers no at every t <= t', so each set keeps the largest such t' and
-later, lower Dinkelbach rounds skip it.
+later, lower Dinkelbach rounds skip it. Deferral: at t = a/c > 1, a
+union U of twin classes with a|A_u| <= c(n - 1) for each u in U and
+a|A_u & A_u'| <= c(n - |U|) for each pair u != u' in U holds no S of
+ratio below t that the other sets miss, since N(S) would miss only
+vertices of U. So U's sets run only once another set has answered yes,
+and a no never runs them.
 """
 
 from __future__ import annotations
@@ -220,10 +227,9 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
 
 
 class _SetProfile:
-    """One allowed set A of a plan: its mask, size and N(A), with N(A)
-    filled on first use. It depends on the adjacency alone, so a plan keeps
-    it across thresholds. Threads racing on the empty slot store equal
-    values.
+    """One allowed set A of a plan: its mask, its size and its twin count,
+    the number of vertices u with A_u = A (twins, N(u) = N(u')). These
+    depend on the adjacency alone, so a plan keeps them across thresholds.
 
     no is the refusal memo: (a, c) for the largest threshold a/c at which
     a flow found no S inside A with ratio below a/c, or None. It is one
@@ -231,24 +237,11 @@ class _SetProfile:
     smaller of two such thresholds, which is still one A refused at.
     """
 
-    __slots__ = ("adj", "sub", "size", "nb", "no")
+    __slots__ = ("sub", "size", "twins", "no")
 
-    def __init__(self, adj: tuple[int, ...], sub: int) -> None:
-        self.adj, self.sub, self.size = adj, sub, sub.bit_count()
-        self.nb: Optional[int] = None
+    def __init__(self, sub: int, twins: int) -> None:
+        self.sub, self.size, self.twins = sub, sub.bit_count(), twins
         self.no: Optional[tuple[int, int]] = None
-
-    def neighborhood(self) -> int:
-        """N(A), computed on first use and kept in the nb slot."""
-        nb = self.nb
-        if nb is None:
-            adj, nb, rest = self.adj, 0, self.sub
-            while rest:
-                lowb = rest & -rest
-                nb |= adj[lowb.bit_length() - 1]
-                rest ^= lowb
-            self.nb = nb
-        return nb
 
 
 class _ThresholdPlan:
@@ -260,10 +253,9 @@ class _ThresholdPlan:
     plan holds no topology and a decision allocates only its flow state.
 
     A plan depends on the adjacency alone and is never changed after it
-    is built, apart from the profiles' idempotent N(A) slots and their
-    refusal memos, each written as one value that holds whenever it is
-    read, so threads may share it. Its at most n profiles hold one mask
-    and one memo tuple each.
+    is built, apart from the profiles' refusal memos, each written as one
+    value that holds whenever it is read, so threads may share it. Its at
+    most n profiles hold one mask, one count and one memo tuple each.
     """
 
     __slots__ = ("adj", "n", "sets")
@@ -271,8 +263,13 @@ class _ThresholdPlan:
     def __init__(self, adj: tuple[int, ...]) -> None:
         n = len(adj)
         self.adj, self.n = adj, n
-        allowed = dict.fromkeys(((1 << n) - 1) & ~row for row in adj)
-        self.sets = [_SetProfile(adj, sub) for sub in sorted(allowed, key=lambda m: -m.bit_count())]
+        twins: dict[int, int] = {}
+        for row in adj:
+            sub = ((1 << n) - 1) & ~row
+            twins[sub] = twins.get(sub, 0) + 1
+        self.sets = [
+            _SetProfile(sub, k) for sub, k in sorted(twins.items(), key=lambda e: -e[0].bit_count())
+        ]
 
 
 @functools.lru_cache(maxsize=1)
@@ -505,6 +502,29 @@ class _ThresholdNetwork(Dinic):
         return self.reach
 
 
+def _deferred(plan: _ThresholdPlan, a: int, c: int) -> int:
+    """How many of plan.sets, the smallest, a no at t = a/c > 1 need not run.
+
+    They form the U of the deferral rule of binding_below_threshold,
+    taken smallest first with k = |U| and P kept as they grow; the walk
+    stops at the first set that cannot join, so the deferred sets are the
+    last of plan.sets.
+    """
+    n, k, p = plan.n, 0, 0
+    taken: list[int] = []
+    for profile in reversed(plan.sets):
+        sub, m = profile.sub, profile.twins
+        room = c * (n - k - m)
+        if a * profile.size > c * (n - 1) or a * p > room:
+            break
+        p = max(p, profile.size if m > 1 else 0, *map(int.bit_count, map(sub.__and__, taken)))
+        if a * p > room:
+            break
+        taken.append(sub)
+        k += m
+    return len(taken)
+
+
 def binding_below_threshold(
     g: Graph, t: Fraction
 ) -> tuple[bool, Optional[int]]:
@@ -518,12 +538,12 @@ def binding_below_threshold(
     vertices that stay, and augments from there.
 
     What does not depend on t comes from the graph's _ThresholdPlan: the
-    allowed sets, their N(A) and refusal memos. The plan is cached for the
-    graph decided last, so the Dinkelbach rounds of binding_number_flow
-    build it once; a decision allocates only the network's flow state,
-    O(n) lists and masks plus one entry per arc that carries flow. The
-    cache holds one plan: at most n profiles of one mask and one memo
-    tuple each.
+    allowed sets, their twin counts and refusal memos. The plan is cached
+    for the graph decided last, so the Dinkelbach rounds of
+    binding_number_flow build it once; a decision allocates only the
+    network's flow state, O(n) lists and masks plus one entry per arc
+    that carries flow. The cache holds one plan: at most n profiles of
+    one mask, one count and one memo tuple each.
 
     When t <= 1 the first flow allows every vertex. Its smallest minimiser
     W over V has f(W) < 0 or is empty. If it is empty (the flow
@@ -538,7 +558,7 @@ def binding_below_threshold(
     The sets are then visited largest first. Witnesses are aggregated over
     the sets by minimum ratio with the (size, lex) tie-break of _better, a
     strict total order, so neither the visiting order nor a set skipped
-    for giving a known witness changes the answer. Two rules skip sets
+    for giving a known witness changes the answer. Three rules skip sets
     without a flow:
 
     - Nested witnesses. f is submodular, so its minimisers over a set
@@ -554,6 +574,27 @@ def binding_below_threshold(
       the set as a no without a flow. Dinkelbach rounds fall in t, so
       each round skips what earlier rounds refused. This costs one tuple
       per allowed set, held with the plan.
+    - Deferral, at t > 1. Call u and u' twins when N(u) = N(u'), so that
+      A_u = A_u'; a profile's twins counts the vertices of its set. Let U
+      be a union of twin classes such that
+      (i) a|A_u| <= c(n - 1) for every u in U, and
+      (ii) a P <= c(n - |U|), where P is the largest |A_u & A_u'| over
+      u != u' in U (|A_u| for a twin pair).
+      Then every S with ratio below t lies in the set of some u outside
+      U. For let T = V - N(S). T is not empty, S lies inside A_w for
+      each w in T, and |N(S)| = n - |T|. If T = {u} inside U, then
+      n - 1 < t|S| <= t|A_u|, against (i). If T lies inside U with
+      |T| >= 2, take u != u' in T: S lies inside A_u & A_u', so
+      n - |T| < t|S| <= tP <= n - |U| <= n - |T|, against (ii). So some
+      u in T is outside U, S lies inside A_u, and that set's flow (or
+      the rule that skips it) answers yes. U's sets are therefore
+      deferred: they run, in their usual order, only once another set
+      has answered yes, so a yes runs every set as before and a no
+      never runs them. _deferred builds U from the smallest sets, the
+      last of plan.sets, and stops at the first set that would break a
+      condition, so a yes visits the sets in the order it always did.
+      On G(n, 0.3) the final no defers about a third of the sets, and
+      K_n (n >= 3, t = n - 1, every A_u a single vertex) defers all.
     """
     t = Fraction(t)
     if t <= 0:
@@ -573,7 +614,10 @@ def binding_below_threshold(
             return False, None
         best = (g.neighborhood(w).bit_count(), w.bit_count(), w)
         settled.append((g.mask_all, w))
-    for profile in plan.sets:
+    first = len(plan.sets) - (_deferred(plan, a, c) if a > c else 0)
+    for i, profile in enumerate(plan.sets):
+        if i == first and best is None:
+            return False, None
         sub = profile.sub
         if any(sub & ~outer == 0 and w & ~sub == 0 for outer, w in settled):
             continue
@@ -630,9 +674,11 @@ def binding_number_flow(g: Graph) -> BindingResult:
         den = witness.bit_count()
     else:
         for profile in _threshold_plan(g.adj).sets:
-            nb = profile.neighborhood().bit_count()
-            if _better(nb, profile.size, profile.sub, num, den, witness):
-                num, den, witness = nb, profile.size, profile.sub
+            sub = profile.sub
+            # w is outside N(A) exactly when none of its neighbours is in A
+            nb = g.n - [row & sub for row in g.adj].count(0)
+            if _better(nb, profile.size, sub, num, den, witness):
+                num, den, witness = nb, profile.size, sub
     t = Fraction(num, den)
     while True:
         ok, w = binding_below_threshold(g, t)

@@ -8,8 +8,6 @@ products like a*n never overflow.
 maxflow augments from whatever flow the capacities already hold, so a
 caller may change capacities between calls (cancel flow, open or close
 arcs) and augment again from a warm start instead of rebuilding.
-Networks that share one topology start from prebuilt arc arrays
-(Dinic.from_arcs) and own only their capacities.
 
 The threshold decisions of binding run on a subclass,
 binding._ThresholdNetwork, which keeps no arc list: its middle arcs are
@@ -30,23 +28,6 @@ class Dinic:
         self.cap: list[int] = []
         self.level = [-1] * n
         self.it = [0] * n
-
-    @classmethod
-    def from_arcs(cls, out: list[list[int]], to: list[int], cap: list[int]) -> "Dinic":
-        """A network over prebuilt arcs: out[u] lists the arcs leaving u, to
-        the head of each arc, cap its capacity, with an arc and its reverse
-        at e and e ^ 1 as add_edge lays them out.
-
-        out and to are only read, so many networks may share them; such a
-        network must not be extended with add_edge. cap is its own. Only
-        the level and iterator arrays are allocated.
-        """
-        net = cls.__new__(cls)
-        n = len(out)
-        net.n, net.out, net.to, net.cap = n, out, to, cap
-        net.level = [-1] * n
-        net.it = [0] * n
-        return net
 
     def add_edge(self, u: int, v: int, c: int) -> None:
         e = len(self.to)

@@ -41,6 +41,7 @@ from bindex.graph import (
     complete_bipartite,
     disjoint_union,
     double_nested,
+    join,
     mask_of,
     vertices_of,
     BipartitionSpec,
@@ -785,6 +786,98 @@ def test_no_at_most_one_takes_one_flow(monkeypatch):
             assert len(calls) == 1, (g.adj, t)
             noes += 1
     assert noes > 500
+
+
+def _complete_multipartite(parts):
+    return functools.reduce(join, (Graph(k, [0] * k) for k in parts))
+
+
+def _twin_heavy_graphs(rng):
+    """K_n, K_{p,q}, complete multipartite and double nested graphs and
+    cycles and paths joined to an independent set, n <= 11, whose allowed
+    sets come in twin classes, some relabeled."""
+    graphs = [complete(n) for n in range(2, 12)]
+    graphs += [join(h(k), Graph(m, [0] * m)) for h in (cycle, path) for k in range(3, 8) for m in range(1, 5)]
+    graphs += [complete_bipartite(p, q) for q in range(1, 8) for p in range(1, min(q, 11 - q) + 1)]
+    for _ in range(40):
+        parts = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        if sum(parts) <= 11:
+            graphs.append(_complete_multipartite(parts))
+    for _ in range(40):
+        h = rng.randint(1, 3)
+        spec = BipartitionSpec(*(tuple(rng.randint(1, 2) for _ in range(h)) for _ in "pq"))
+        graphs.append(double_nested(spec))
+    return graphs + [_relabeled(g, rng) for g in graphs[::2]]
+
+
+def _deferral_meets_the_rule(g, t):
+    """How many sets _deferred leaves at t = a/c, once checked against the
+    rule vertex by vertex: with U the vertices u whose A_u is deferred,
+    a|A_u| <= c(n - 1) for each u in U, and a|A_u & A_u'| <= c(n - |U|)
+    for each pair u != u' in U."""
+    a, c, n = t.numerator, t.denominator, g.n
+    plan = _ThresholdPlan(g.adj)
+    d = binding_module._deferred(plan, a, c)
+    subs = {p.sub for p in plan.sets[len(plan.sets) - d:]}
+    allowed = [x for x in (g.mask_all & ~row for row in g.adj) if x in subs]
+    assert all(a * x.bit_count() <= c * (n - 1) for x in allowed), (g.adj, t)
+    pairs = [(x & y).bit_count() for i, x in enumerate(allowed) for y in allowed[:i]]
+    assert a * max(pairs, default=0) <= c * (n - len(allowed)), (g.adj, t)
+    return d
+
+
+def test_deferred_sets_meet_the_rule():
+    # thresholds (n - 1)/(n - k), among them the start ratio of a graph of
+    # least degree k, and one drawn above 1
+    rng = random.Random(2294)
+    graphs = _twin_heavy_graphs(rng) + [_random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.9))
+                                        for _ in range(200)]
+    deferred = 0
+    for g in graphs:
+        n = g.n
+        for t in {Fraction(n - 1, n - k) for k in range(1, n - 1)} | {Fraction(rng.randint(n, 3 * n), n)}:
+            deferred += _deferral_meets_the_rule(g, t) > 0
+    assert deferred > 500
+
+
+def test_deferral_around_b_matches_subset_oracle():
+    # a no defers sets to the flows of others: t = b answers no, just
+    # above b yes and just below b no, each on a fresh plan, so no memo
+    # stands in for a flow
+    rng = random.Random(2295)
+    graphs = _twin_heavy_graphs(rng) + [_random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.95))
+                                        for _ in range(300)]
+    above_one = 0
+    for g in graphs:
+        b = binding_number_bruteforce(g).value
+        if b == 0:
+            continue
+        step = Fraction(1, g.n * g.n)
+        for t in (b, b + step, b - step, 2 * b):
+            _threshold_plan.cache_clear()
+            assert binding_below_threshold(g, t) == _threshold_oracle(g, t), (g.adj, t)
+            above_one += t > 1
+    assert above_one > 600
+
+
+def test_final_no_runs_fewer_flows_than_allowed_sets(monkeypatch):
+    # on seeded G(44, p) the final no at t = b(G) > 1 runs a flow on the
+    # sets that are not deferred only; K_n (n >= 3) needs no flow at all
+    calls = []
+    maxflow = Dinic.maxflow
+    monkeypatch.setattr(Dinic, "maxflow", lambda net, s, t: calls.append(s) or maxflow(net, s, t))
+    for i, p in enumerate((0.3, 0.4, 0.5, 0.6)):
+        g = _random_graph(random.Random(2296 + i), 44, p)
+        b = binding_number_flow(g).value
+        assert b > 1
+        _threshold_plan.cache_clear()
+        calls.clear()
+        assert binding_below_threshold(g, b) == (False, None)
+        assert len(calls) < len(_threshold_plan(g.adj).sets), p
+    for n in (3, 5, 30):
+        calls.clear()
+        assert binding_number_flow(complete(n)).value == n - 1
+        assert calls == []
 
 
 def _pinned_flow_graphs():

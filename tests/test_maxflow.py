@@ -58,16 +58,3 @@ def test_warm_restart_after_capacity_changes():
         assert flow == value
         assert net.source_side(0) == [v for v in range(n) if side >> v & 1]
 
-
-def test_networks_sharing_prebuilt_arcs_keep_their_own_flows():
-    rng = random.Random(13)
-    for _ in range(300):
-        n = rng.randint(2, 8)
-        base, edges = _random_network(rng, n, rng.randint(1, 16))
-        # two capacity lists over the one topology, each solved in turn
-        caps = [[rng.randint(0, 6) for _ in edges] for _ in range(2)]
-        nets = [Dinic.from_arcs(base.out, base.to, [x for c in cap for x in (c, 0)]) for cap in caps]
-        for net, cap in zip(nets, caps):
-            value, side = _cut_oracle(n, [(u, v, c) for (u, v, _), c in zip(edges, cap)])
-            assert net.maxflow(0, 1) == value
-            assert net.source_side(0) == [v for v in range(n) if side >> v & 1]
