@@ -7,20 +7,24 @@ regime dispatches downstream compare b against 1/r strictly.
 Vertex sets are int bitmasks as in graph.py.
 
 Brute force (n <= 24) scans one numpy subset table. N(S) is built as
-uint32 for every S over the low k = min(n, 16) vertices by doubling; the
-sets over the n - k high vertices split the table into at most 256 blocks
-of 2^16 entries, each the low table ORed with N(high). Each entry is
-ranked through a small integer table indexed by (|S|, |N(S)|): the key
+uint32 for every S over the low k = min(n, 14) vertices by doubling; the
+sets over the n - k high vertices split the table into at most 1024
+blocks of 2^14 entries, each the low table ORed with N(high). Each entry
+is ranked through a small integer table indexed by (|S|, |N(S)|): the key
 |N(S)| * (L // |S|) with L = lcm(1..24) = 5354228880 is L times the ratio,
 exact because |S| divides L, and at most 24 * L < 2^37; the rank, key << 5
 | |S|, stays below 2^42, so int64 holds it and ratios are compared without
-a float. Worst case, n = 24, on a 2-vCPU x86-64 box: 0.06-0.07 s per
-call (G(24, 0.3) and K_24), with about 1 MB of arrays live per block.
-The table is built for a stack of graphs of one order, one row each: up
-to 2^(16 - n) graphs of order n <= 16 share one block of 2^16 entries,
-so listing the binding sets of many small graphs (_binding_sets_many)
-costs a few numpy calls per block rather than per graph. A graph with
-n > 16 fills its blocks alone.
+a float. A block's arrays are at most 128 KB each, about 0.5 MB in all,
+and the allocator hands each block the memory the last one freed, so
+only a process's first call takes page faults. Blocks of 2^15 or 2^16
+entries faulted on freshly mapped temporaries, up to 29000 faults in one
+n = 24 call, and one n = 16 call took about 2x or 3x as long. Worst
+case, n = 24, on a 2-vCPU x86-64 box: 0.034-0.037 s per call (G(24, 0.3)
+and K_24). The table is built for a stack of graphs of one order, one
+row each: up to 2^(14 - n) graphs of order n <= 14 share one block of
+2^14 entries, so listing the binding sets of many small graphs
+(_binding_sets_many) costs a few numpy calls per block rather than per
+graph. A graph with n > 14 fills its blocks alone.
 
 Flow (any n) decides thresholds on Cunningham's network, one decision per
 Dinkelbach round, and the rounds start from a witness that is often
@@ -85,7 +89,7 @@ _BRUTE_MAX = 24
 _SETS_MAX = 20
 _TOUGH_MAX = 16
 
-_LOW_BITS = 16  # vertices per block of the subset table
+_LOW_BITS = 14  # vertices per block of the subset table: 2^14 sets
 _L = math.lcm(*range(1, _BRUTE_MAX + 1))  # 5354228880
 _EXCLUDED = np.iinfo(np.int64).max
 # |S| << 5 for every S over the low vertices, as a column: its row in a rank table
@@ -167,11 +171,14 @@ def _subset_ranks(adjs: Sequence[Sequence[int]]) -> Iterator[tuple[int, np.ndarr
     """Yield (high, rank) for each block of the subset table of a graph stack.
 
     adjs holds the adjacency rows of B graphs of order n, at most
-    2^(16 - n) of them when n <= 16 and one when n > 16, so that a block
-    holds at most 2^16 entries. Block `high` holds the sets S = high | lo
-    for every lo over the low k = min(n, 16) vertices; rank[i, lo] is the
-    _rank_table entry of S in graph i. N(S) is built over the low vertices
-    once by doubling, as uint32, and each block ORs in N(high).
+    2^(14 - n) of them when n <= 14 and one when n > 14, so that a block
+    holds at most 2^14 (2^_LOW_BITS) entries: no block array passes
+    128 KB, so each block reuses the memory the last one freed and takes
+    no page fault (module docstring). Block `high` holds the sets
+    S = high | lo for every lo over the low k = min(n, 14) vertices;
+    rank[i, lo] is the _rank_table entry of S in graph i. N(S) is built
+    over the low vertices once by doubling, as uint32, and each block ORs
+    in N(high).
 
     The table is laid out set-major, 2^k x B, and rank is a transposed
     view of it: doubling slices only its first axis, and one graph's rows
@@ -205,8 +212,8 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
 
     Witness is the minimizer of smallest cardinality, ties broken by
     lexicographically least vertex tuple: the lex-least set of least rank
-    over the blocks of _subset_ranks. Worst case n = 24: 256 blocks of
-    2^16 entries, 0.06-0.07 s measured (module docstring).
+    over the blocks of _subset_ranks. Worst case n = 24: 1024 blocks of
+    2^14 entries, 0.034-0.037 s measured (module docstring).
     """
     if g.n > _BRUTE_MAX:
         raise LimitError(f"brute force capped at n <= {_BRUTE_MAX}")
@@ -715,10 +722,12 @@ def _lex_key(s: int) -> int:
 def _binding_sets_many(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, list[int]]]:
     """(g, binding_sets_all(g)) for each of graphs, all of one order n <= 20.
 
-    The graphs are read one block at a time: up to 2^(16 - n) of them
-    share one subset table (_subset_ranks), and a graph with n > 16 has
+    The graphs are read one block at a time: up to 2^(14 - n) of them
+    share one subset table (_subset_ranks), and a graph with n > 14 has
     its own, split over its high vertices. A block thus costs a fixed
-    number of numpy calls however many small graphs it holds.
+    number of numpy calls however many small graphs it holds: 32768
+    seeded graphs of order 6, 128 blocks, took 115-148 ms on a 2-vCPU
+    x86-64 box, with no page fault after a warm-up.
     """
     graphs = iter(graphs)
     first = next(graphs, None)
@@ -738,7 +747,7 @@ def _binding_sets_many(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, list[in
             least = key.min(axis=1, keepdims=True)
             leasts = least.ravel().tolist()
             if all(m > b for m, b in zip(leasts, best)):
-                continue  # a later high block (n > 16) that beats no graph's best
+                continue  # a later high block (n > 14) that beats no graph's best
             graph, lows = np.divmod(np.flatnonzero(key == least), key.shape[1])
             sets = (lows | high).tolist()
             ends = np.bincount(graph, minlength=len(block)).cumsum().tolist()

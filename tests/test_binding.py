@@ -129,13 +129,19 @@ def test_scan_matches_oracle_on_seeded_graphs():
 
 
 def test_scan_matches_oracle_across_high_blocks():
-    # n > 16: blocks of 2^16 sets, 32 of them at n = 21; in K_17 and C_18
-    # the sets of least rank lie in several blocks, the lex-least in the first
+    # n > 14: blocks of 2^14 sets, 128 of them at n = 21; in K_15, C_16,
+    # K_17 and C_18 the sets of least rank lie in several blocks
     rng = random.Random(5102)
-    graphs = [_random_graph(rng, 21, p) for p in (0.2, 0.6)] + [complete(17), cycle(18)]
+    graphs = [_random_graph(rng, 21, p) for p in (0.2, 0.6)]
     for g in graphs:
         r = binding_number_bruteforce(g)
         assert (r.value, r.witness) == _brute_oracle(g)[:2], g.adj
+    for g in (complete(15), cycle(16), complete(17), cycle(18)):
+        r = binding_number_bruteforce(g)
+        b, witness, sets = _brute_oracle(g)
+        assert (r.value, r.witness) == (b, witness), g.adj
+        assert binding_sets_all(g) == sets, g.adj
+        assert len({s >> binding_module._LOW_BITS for s in sets}) > 1, g.adj
 
 
 def _sets_of_stack(graphs):
@@ -152,11 +158,11 @@ def test_binding_sets_many_matches_oracle_on_all_graphs_to_n5():
         assert [binding_sets_all(g) for g in graphs] == expected, n
 
 
-@pytest.mark.parametrize("n", range(6, 17))
+@pytest.mark.parametrize("n", range(6, binding_module._LOW_BITS + 1))
 def test_binding_sets_many_straddles_the_block_capacity(n):
-    # up to 2^(16 - n) graphs share a block: one short of it, and one over
+    # up to 2^(_LOW_BITS - n) graphs share a block: one short of it, and one over
     rng = random.Random(5200 + n)
-    per_block = 1 << (16 - n)
+    per_block = 1 << (binding_module._LOW_BITS - n)
     for size in (per_block - 1, per_block + 1):
         graphs = [
             _random_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.8, 0.95)))
@@ -167,9 +173,10 @@ def test_binding_sets_many_straddles_the_block_capacity(n):
         assert [binding_sets_all(g) for g in graphs] == expected, (n, size)
 
 
-def test_binding_sets_many_one_graph_per_block_above_16():
+def test_binding_sets_many_one_graph_per_block_beyond_the_capacity():
+    # from n = _LOW_BITS + 1 on a graph fills 2^(n - _LOW_BITS) blocks alone
     rng = random.Random(5217)
-    for n in range(17, 21):
+    for n in range(binding_module._LOW_BITS + 1, 21):
         graphs = [_random_graph(rng, n, p) for p in ((0.2, 0.7) if n <= 18 else (0.3,))]
         expected = [_brute_oracle(g)[2] for g in graphs]
         assert _sets_of_stack(graphs) == expected, n
@@ -195,7 +202,7 @@ def test_binding_sets_many_rejects_mixed_orders_and_large_n():
         list(_binding_sets_many([path(3), path(4)]))
     # the odd graph out starts the second block of n = 6 graphs
     with pytest.raises(DomainError):
-        list(_binding_sets_many([path(6)] * 1024 + [path(5)]))
+        list(_binding_sets_many([path(6)] * (1 << (binding_module._LOW_BITS - 6)) + [path(5)]))
     with pytest.raises(LimitError, match=r"^binding set listing capped at n <= 20$"):
         list(_binding_sets_many([complete(21)]))
 
