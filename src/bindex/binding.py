@@ -52,18 +52,17 @@ one. A Dinic phase levels it one layer at a time by ORs of those masks.
 
 What a decision needs that does not depend on the threshold is a
 _ThresholdPlan of the graph: its allowed sets, each with its twin count
-(the vertices u of one A_u share N(u)) and refusal memo. One plan, that
-of the graph decided last, stays cached, so the rounds on a graph build
-it once and memory holds one graph's plan between calls: at most n
-allowed sets of one mask, one count and one (a, c) memo tuple each.
+(the vertices u of one A_u share N(u)). A plan never changes once built,
+so a decision depends on (G, t) alone. One plan, that of the graph
+decided last, stays cached, so the rounds on a graph build it once and
+memory holds one graph's plan between calls: at most n allowed sets of
+one mask, one size and one count each.
 
-Three rules settle allowed sets without a flow; binding_below_threshold
+Two rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
 inside an earlier set A' whose flow witness W' lies inside A has W' as
 its witness too, since the minimisers of c|N(S)| - a|S| form a lattice
-(Picard and Queyranne 1980). Refusal memo: a set that answered no at t'
-answers no at every t <= t', so each set keeps the largest such t' and
-later, lower Dinkelbach rounds skip it. Deferral: at t = a/c > 1, a
+(Picard and Queyranne 1980). Deferral: at t = a/c > 1, a
 union U of twin classes with a|A_u| <= c(n - 1) for each u in U and
 a|A_u & A_u'| <= c(n - |U|) for each pair u != u' in U holds no S of
 ratio below t that the other sets miss, since N(S) would miss only
@@ -233,36 +232,18 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
     return BindingResult.checked(g, best, "brute")
 
 
-class _SetProfile:
-    """One allowed set A of a plan: its mask, its size and its twin count,
-    the number of vertices u with A_u = A (twins, N(u) = N(u')). These
-    depend on the adjacency alone, so a plan keeps them across thresholds.
-
-    no is the refusal memo: (a, c) for the largest threshold a/c at which
-    a flow found no S inside A with ratio below a/c, or None. It is one
-    tuple, so a thread reads one whole write; a racing write may keep the
-    smaller of two such thresholds, which is still one A refused at.
-    """
-
-    __slots__ = ("sub", "size", "twins", "no")
-
-    def __init__(self, sub: int, twins: int) -> None:
-        self.sub, self.size, self.twins = sub, sub.bit_count(), twins
-        self.no: Optional[tuple[int, int]] = None
-
-
 class _ThresholdPlan:
     """What every threshold decision on one graph shares.
 
-    sets: a _SetProfile for each distinct allowed set A_u = V - N(u),
-    largest first, ties in order of first u. adj and n are the graph's;
-    the network of _ThresholdNetwork reads its middle arcs from adj, so a
-    plan holds no topology and a decision allocates only its flow state.
+    sets: (sub, size, twins) for each distinct allowed set
+    A_u = V - N(u), largest first, ties in order of first u; twins counts
+    the vertices u with A_u = sub (twins, N(u) = N(u')). adj and n are
+    the graph's; the network of _ThresholdNetwork reads its middle arcs
+    from adj, so a plan holds no topology and a decision allocates only
+    its flow state.
 
     A plan depends on the adjacency alone and is never changed after it
-    is built, apart from the profiles' refusal memos, each written as one
-    value that holds whenever it is read, so threads may share it. Its at
-    most n profiles hold one mask, one count and one memo tuple each.
+    is built, so threads may share it.
     """
 
     __slots__ = ("adj", "n", "sets")
@@ -274,9 +255,9 @@ class _ThresholdPlan:
         for row in adj:
             sub = ((1 << n) - 1) & ~row
             twins[sub] = twins.get(sub, 0) + 1
-        self.sets = [
-            _SetProfile(sub, k) for sub, k in sorted(twins.items(), key=lambda e: -e[0].bit_count())
-        ]
+        self.sets = sorted(
+            ((sub, sub.bit_count(), k) for sub, k in twins.items()), key=lambda e: -e[1]
+        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -519,12 +500,11 @@ def _deferred(plan: _ThresholdPlan, a: int, c: int) -> int:
     """
     n, k, p = plan.n, 0, 0
     taken: list[int] = []
-    for profile in reversed(plan.sets):
-        sub, m = profile.sub, profile.twins
+    for sub, size, m in reversed(plan.sets):
         room = c * (n - k - m)
-        if a * profile.size > c * (n - 1) or a * p > room:
+        if a * size > c * (n - 1) or a * p > room:
             break
-        p = max(p, profile.size if m > 1 else 0, *map(int.bit_count, map(sub.__and__, taken)))
+        p = max(p, size if m > 1 else 0, *map(int.bit_count, map(sub.__and__, taken)))
         if a * p > room:
             break
         taken.append(sub)
@@ -545,12 +525,13 @@ def binding_below_threshold(
     vertices that stay, and augments from there.
 
     What does not depend on t comes from the graph's _ThresholdPlan: the
-    allowed sets, their twin counts and refusal memos. The plan is cached
-    for the graph decided last, so the Dinkelbach rounds of
-    binding_number_flow build it once; a decision allocates only the
-    network's flow state, O(n) lists and masks plus one entry per arc
-    that carries flow. The cache holds one plan: at most n profiles of
-    one mask, one count and one memo tuple each.
+    allowed sets and their twin counts. The plan is cached for the graph
+    decided last, so the Dinkelbach rounds of binding_number_flow build
+    it once; a decision allocates only the network's flow state, O(n)
+    lists and masks plus one entry per arc that carries flow. The cache
+    holds one plan: at most n entries of one mask, one size and one
+    count each. A plan never changes, so the answer and the flows run
+    depend on (G, t) alone.
 
     When t <= 1 the first flow allows every vertex. Its smallest minimiser
     W over V has f(W) < 0 or is empty. If it is empty (the flow
@@ -565,7 +546,7 @@ def binding_below_threshold(
     The sets are then visited largest first. Witnesses are aggregated over
     the sets by minimum ratio with the (size, lex) tie-break of _better, a
     strict total order, so neither the visiting order nor a set skipped
-    for giving a known witness changes the answer. Three rules skip sets
+    for giving a known witness changes the answer. Two rules skip sets
     without a flow:
 
     - Nested witnesses. f is submodular, so its minimisers over a set
@@ -575,14 +556,8 @@ def binding_below_threshold(
       skipped: the minimum over A is at least that over A' and W' reaches
       it, so the minimisers over A are those over A' that lie in A, and
       their least element is W' again.
-    - Refusal memo. A set that answered no at t' has every S inside it at
-      ratio >= t', so it answers no at every t <= t'. Each profile keeps
-      the largest such t' (_SetProfile.no); a decision at t <= t' lists
-      the set as a no without a flow. Dinkelbach rounds fall in t, so
-      each round skips what earlier rounds refused. This costs one tuple
-      per allowed set, held with the plan.
     - Deferral, at t > 1. Call u and u' twins when N(u) = N(u'), so that
-      A_u = A_u'; a profile's twins counts the vertices of its set. Let U
+      A_u = A_u'; a set's twins counts the vertices u it is A_u of. Let U
       be a union of twin classes such that
       (i) a|A_u| <= c(n - 1) for every u in U, and
       (ii) a P <= c(n - |U|), where P is the largest |A_u & A_u'| over
@@ -613,7 +588,7 @@ def binding_below_threshold(
     plan = _threshold_plan(g.adj)
     net: Optional[_ThresholdNetwork] = None  # built when a set first needs it
     best: Optional[tuple[int, int, int]] = None  # (num, den, mask)
-    settled: list[tuple[int, int]] = []  # (A', W') of the flow answers and memo noes
+    settled: list[tuple[int, int]] = []  # (A', W') of the flow answers
     if a <= c:
         net = _ThresholdNetwork(plan, a, c)
         w = net.witness(g.mask_all)
@@ -622,22 +597,16 @@ def binding_below_threshold(
         best = (g.neighborhood(w).bit_count(), w.bit_count(), w)
         settled.append((g.mask_all, w))
     first = len(plan.sets) - (_deferred(plan, a, c) if a > c else 0)
-    for i, profile in enumerate(plan.sets):
+    for i, (sub, _, _) in enumerate(plan.sets):
         if i == first and best is None:
             return False, None
-        sub = profile.sub
         if any(sub & ~outer == 0 and w & ~sub == 0 for outer, w in settled):
-            continue
-        no = profile.no
-        if no is not None and a * no[1] <= no[0] * c:
-            settled.append((sub, 0))
             continue
         if net is None:
             net = _ThresholdNetwork(plan, a, c)
         smask = net.witness(sub)
         settled.append((sub, smask))
         if not smask:
-            profile.no = (a, c)
             continue
         num = g.neighborhood(smask).bit_count()
         den = smask.bit_count()
@@ -680,12 +649,11 @@ def binding_number_flow(g: Graph) -> BindingResult:
         witness = sum(1 << u for u, row in enumerate(g.adj) if row == g.adj[v])
         den = witness.bit_count()
     else:
-        for profile in _threshold_plan(g.adj).sets:
-            sub = profile.sub
+        for sub, size, _ in _threshold_plan(g.adj).sets:
             # w is outside N(A) exactly when none of its neighbours is in A
             nb = g.n - [row & sub for row in g.adj].count(0)
-            if _better(nb, profile.size, sub, num, den, witness):
-                num, den, witness = nb, profile.size, sub
+            if _better(nb, size, sub, num, den, witness):
+                num, den, witness = nb, size, sub
     t = Fraction(num, den)
     while True:
         ok, w = binding_below_threshold(g, t)

@@ -169,10 +169,10 @@ def edge_list_decode(text: str) -> Graph:
     edges = []
     seen = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise DomainError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, ln.split())
+        except ValueError as exc:
+            raise DomainError(f"bad edge line {ln!r}") from exc
         pair = (min(u, v), max(u, v))
         if pair in seen:
             raise DomainError(f"duplicate edge {u} {v}")

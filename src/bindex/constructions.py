@@ -17,6 +17,7 @@ from .graph import (
     BipartitionSpec,
     DomainError,
     Graph,
+    check_vertex_count,
     complete,
     complete_bipartite,
     disjoint_union,
@@ -99,6 +100,7 @@ def general_extremal(n: int, r: int) -> Construction:
 
 def family_general(n: int, r: int, t1: int) -> Construction:
     """K_t1 joined to (K_{n-(r+1)t1-1} union (r*t1+1) isolated vertices)."""
+    check_vertex_count(n)
     if r < 1:
         raise DomainError("r must be at least 1")
     if n < r + 3:

@@ -27,6 +27,16 @@ class LimitError(ValueError):
     """Input exceeds a hard size limit of the chosen algorithm."""
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise DomainError unless 1 <= n <= MAX_VERTICES.
+
+    Every builder calls it first, before it allocates anything of size n:
+    an adjacency costs up to n^2 bits, 54 MB for complete(20000).
+    """
+    if not 1 <= n <= MAX_VERTICES:
+        raise DomainError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -52,8 +62,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]) -> None:
-        if not 1 <= n <= MAX_VERTICES:
-            raise DomainError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        check_vertex_count(n)
         if len(adj) != n:
             raise DomainError("adjacency length does not match n")
         full = (1 << n) - 1
@@ -80,8 +89,7 @@ class Graph:
         Callers guarantee len(adj) == n, symmetric rows, no loops and no
         bits >= n; only the vertex-count cap is checked.
         """
-        if not 1 <= n <= MAX_VERTICES:
-            raise DomainError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        check_vertex_count(n)
         g = object.__new__(cls)
         g.n = n
         g.adj = tuple(adj)
@@ -89,6 +97,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -204,13 +213,13 @@ class Graph:
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise DomainError("complete graph needs n >= 1")
+    check_vertex_count(n)
     full = (1 << n) - 1
     return Graph._trusted(n, [full ^ (1 << v) for v in range(n)])
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
+    check_vertex_count(p + q)
     if p < 1 or q < 1:
         raise DomainError("complete bipartite graph needs p, q >= 1")
     xmask = (1 << p) - 1
@@ -221,8 +230,7 @@ def complete_bipartite(p: int, q: int) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise DomainError(f"union size {n} exceeds cap {MAX_VERTICES}")
+    check_vertex_count(n)
     adj = list(g1.adj) + [row << g1.n for row in g2.adj]
     return Graph._trusted(n, adj)
 
@@ -230,8 +238,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """g1 + g2 with all cross edges; g2 vertices shifted by g1.n."""
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise DomainError(f"join size {n} exceeds cap {MAX_VERTICES}")
+    check_vertex_count(n)
     m1 = (1 << g1.n) - 1
     m2 = ((1 << n) - 1) ^ m1
     adj = [row | m2 for row in g1.adj] + [(row << g1.n) | m1 for row in g2.adj]
@@ -283,8 +290,7 @@ class BipartitionSpec:
 
 def double_nested(spec: BipartitionSpec) -> Graph:
     """D(p_1..p_h; q_1..q_h): X block i joined to Y blocks 1..h+1-i."""
-    if spec.n > MAX_VERTICES:
-        raise DomainError(f"graph size {spec.n} exceeds cap {MAX_VERTICES}")
+    check_vertex_count(spec.n)
     h = spec.h
     blocks = spec.blocks()
     adj = [0] * spec.n

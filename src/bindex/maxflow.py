@@ -5,14 +5,11 @@ indices e and e ^ 1, with a list of outgoing arc indices per node;
 iterative BFS and blocking-flow DFS. Capacities are python ints, so
 products like a*n never overflow.
 
-maxflow augments from whatever flow the capacities already hold, so a
-caller may change capacities between calls (cancel flow, open or close
-arcs) and augment again from a warm start instead of rebuilding.
-
-The threshold decisions of binding run on a subclass,
-binding._ThresholdNetwork, which keeps no arc list: its middle arcs are
-read from adjacency masks, it overrides _bfs and _dfs, and maxflow below
-is its phase loop, unchanged.
+bindex itself runs only Dinic.maxflow, as the phase loop of
+binding._ThresholdNetwork: that subclass keeps no arc list, reads its
+middle arcs from adjacency masks and overrides _bfs and _dfs. The
+arc-list network here (add_edge, _bfs, _dfs, source_side) is the
+reference network the tests check it against.
 """
 
 from __future__ import annotations

@@ -414,7 +414,7 @@ def test_threshold_network_matches_an_add_edge_dinic():
         above += a > c
         plan = _ThresholdPlan(g.adj)
         net = _ThresholdNetwork(plan, a, c)
-        subs = [p.sub for p in plan.sets] + [g.mask_all]
+        subs = [sub for sub, _, _ in plan.sets] + [g.mask_all]
         for _ in range(6):
             sub = rng.choice(subs)
             ref = Dinic(2 + 2 * n)
@@ -475,9 +475,8 @@ def _thresholds(g, rng, k):
 
 
 def test_threshold_order_matches_subset_oracle():
-    # the refusal memos of one graph's plan carry over between calls, so
-    # each order decides one fresh plan: falling (the Dinkelbach order),
-    # rising (every memo is below t) and shuffled
+    # one graph's thresholds in three orders on its one cached plan:
+    # falling (the Dinkelbach order), rising and shuffled
     rng = random.Random(2289)
     for _ in range(120):
         n = rng.randint(3, 9)
@@ -487,7 +486,6 @@ def test_threshold_order_matches_subset_oracle():
         shuffled = ts[:]
         rng.shuffle(shuffled)
         for order in (ts[::-1], ts, shuffled):
-            _threshold_plan.cache_clear()
             for t in order:
                 assert binding_below_threshold(g, t) == expected[t], (g.adj, order, t)
 
@@ -537,34 +535,34 @@ def test_nested_neighbourhoods_match_oracles():
                 assert binding_below_threshold(g, t) == expected[t], (g.adj, t)
 
 
-def test_refusal_memos_hold_and_spare_flows(monkeypatch):
-    # every stored memo a/c is a threshold its set is refused at, and a
-    # repeated decision runs a flow only on the sets that answered yes
+def test_a_decision_depends_on_the_graph_and_threshold_alone(monkeypatch):
+    # (g, t) decided on a fresh plan, again after a spread of thresholds
+    # on the same plan, and once more: each time the oracle's answer, for
+    # the same number of flows: no decision leaves behind anything that
+    # would spare a later one a flow
     calls = []
     maxflow = Dinic.maxflow
     monkeypatch.setattr(Dinic, "maxflow", lambda net, s, t: calls.append(s) or maxflow(net, s, t))
     rng = random.Random(2291)
-    spared = 0
+    several = 0
     for g in _nested_graphs(rng)[::4] + [_random_graph(rng, 9, 0.5) for _ in range(40)]:
-        _threshold_plan.cache_clear()
-        rf = binding_number_flow(g)
-        for profile in _threshold_plan(g.adj).sets:
-            if profile.no is not None:
-                a, c = profile.no
-                assert _minimisers(g, profile.sub, a, c)[0] == 0, (g.adj, profile.sub)
-        t = rf.value * 2 if rf.value else Fraction(1, 2)
-        calls.clear()
-        first = binding_below_threshold(g, t)
-        before = len(calls)
-        assert binding_below_threshold(g, t) == first == _threshold_oracle(g, t), g.adj
-        assert len(calls) - before <= before
-        spared += len(calls) - before < before
-    assert spared > 20
+        ts = _thresholds(g, rng, 6)
+        for t in ts[::2]:
+            _threshold_plan.cache_clear()
+            runs = []
+            for spread in ((), ts, ()):
+                for u in spread:
+                    binding_below_threshold(g, u)
+                calls.clear()
+                runs.append((binding_below_threshold(g, t), len(calls)))
+            assert runs == [(_threshold_oracle(g, t), runs[0][1])] * 3, (g.adj, t, runs)
+            several += runs[0][1] > 1
+    assert several > 100
 
 
-def test_refusal_memos_from_threads_match_serial():
+def test_threshold_decisions_from_threads_match_serial():
     # more threads than cores decide one graph's thresholds in different
-    # orders, racing on its profiles' memo slots; every answer must match
+    # orders, all on its one cached plan; every answer must match
     rng = random.Random(2292)
     graphs = [_random_graph(rng, n, p) for n in (8, 10) for p in (0.3, 0.5, 0.8)]
     graphs += [general_extremal(11, 2).graph, bipartite_extremal_D(12, 1, "floor").graph]
@@ -825,7 +823,7 @@ def _deferral_meets_the_rule(g, t):
     a, c, n = t.numerator, t.denominator, g.n
     plan = _ThresholdPlan(g.adj)
     d = binding_module._deferred(plan, a, c)
-    subs = {p.sub for p in plan.sets[len(plan.sets) - d:]}
+    subs = {sub for sub, _, _ in plan.sets[len(plan.sets) - d:]}
     allowed = [x for x in (g.mask_all & ~row for row in g.adj) if x in subs]
     assert all(a * x.bit_count() <= c * (n - 1) for x in allowed), (g.adj, t)
     pairs = [(x & y).bit_count() for i, x in enumerate(allowed) for y in allowed[:i]]
@@ -849,8 +847,7 @@ def test_deferred_sets_meet_the_rule():
 
 def test_deferral_around_b_matches_subset_oracle():
     # a no defers sets to the flows of others: t = b answers no, just
-    # above b yes and just below b no, each on a fresh plan, so no memo
-    # stands in for a flow
+    # above b yes and just below b no
     rng = random.Random(2295)
     graphs = _twin_heavy_graphs(rng) + [_random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.95))
                                         for _ in range(300)]
@@ -861,7 +858,6 @@ def test_deferral_around_b_matches_subset_oracle():
             continue
         step = Fraction(1, g.n * g.n)
         for t in (b, b + step, b - step, 2 * b):
-            _threshold_plan.cache_clear()
             assert binding_below_threshold(g, t) == _threshold_oracle(g, t), (g.adj, t)
             above_one += t > 1
     assert above_one > 600

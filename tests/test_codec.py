@@ -159,6 +159,12 @@ def test_edge_list_errors():
         edge_list_decode("3 2\n0 1\n1 0\n")  # one edge twice fills the header's count
 
 
+def test_edge_list_names_a_line_that_is_not_two_integers():
+    for line in ("0 x", "1.5 2", "0", "0 1 2"):
+        with pytest.raises(DomainError, match=f"^bad edge line {line!r}$"):
+            edge_list_decode(f"3 1\n{line}\n")
+
+
 def test_load_graph_dispatch():
     assert load_graph("Bw") == complete(3)
     assert load_graph("  Bw \n") == complete(3)

@@ -1,10 +1,11 @@
 """Bitmask graph core: constructors, set operations, builders."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from bindex.codec import graph6_decode, graph6_encode
+from bindex.codec import edge_list_decode, graph6_decode, graph6_encode
 from bindex.constructions import (
     bipartite_extremal_D,
     bipartite_extremal_K,
@@ -268,3 +269,30 @@ def test_public_constructor_rejects_corrupted_builder_output():
         Graph._trusted(0, [])
     with pytest.raises(DomainError):
         Graph._trusted(4097, [0] * 4097)
+
+
+def test_vertex_cap_refuses_before_allocating():
+    # each builder checks the cap before it allocates: complete(20000)
+    # needs 54 MB of rows, K_{5e6,5e6} 162 MB and the header "10^7 0" 80 MB
+    big, small = complete(4000), complete(97)
+    builds = [
+        lambda: Graph(10**7, []),
+        lambda: Graph._trusted(10**7, []),
+        lambda: Graph.from_edges(10**7, []),
+        lambda: edge_list_decode("10000000 0\n"),
+        lambda: complete(20000),
+        lambda: complete_bipartite(5 * 10**6, 5 * 10**6),
+        lambda: disjoint_union(big, small),
+        lambda: join(big, small),
+        lambda: double_nested(BipartitionSpec((10**7,), (1,))),
+        lambda: family_general(20000, 1, 1),
+    ]
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^vertex count \d+ outside 1\.\.4096$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
