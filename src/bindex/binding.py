@@ -38,11 +38,11 @@ flow with every vertex allowed, which answers a no alone and settles
 every allowed set containing its witness on a yes. So on most extremal
 constructions the value costs one decision of one flow. A dense random
 graph needs one decision at t > 1, a no whose smallest allowed sets
-are deferred (below) and never run: on G(n, 0.3) it runs about two
-thirds of the n flows. One call on G(n, 0.3), seed 1, on a 2-vCPU x86-64
-box: 0.23 s at n = 640, 1.04 s at n = 1280, 5.3 s at n = 2560 and
-18.5 s at n = 4096, the vertex cap; the call raises the peak RSS by at
-most 6 MB.
+are deferred (below) and never run: on G(n, 0.3) it runs a little over
+half of the n flows (341 of 640, 2280 of 4096). One call on G(n, 0.3),
+seed 1, on a 2-vCPU x86-64 box: 0.17 s at n = 640, 0.82 s at n = 1280,
+4.2 s at n = 2560 and 13.7 s at n = 4096, the vertex cap; the call
+raises the peak RSS by at most 6 MB.
 
 The network (_ThresholdNetwork) has no arc list. Its middle arcs have
 unbounded capacity, so they are read from the adjacency masks, and its
@@ -62,12 +62,15 @@ Two rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
 inside an earlier set A' whose flow witness W' lies inside A has W' as
 its witness too, since the minimisers of c|N(S)| - a|S| form a lattice
-(Picard and Queyranne 1980). Deferral: at t = a/c > 1, a
-union U of twin classes with a|A_u| <= c(n - 1) for each u in U and
-a|A_u & A_u'| <= c(n - |U|) for each pair u != u' in U holds no S of
-ratio below t that the other sets miss, since N(S) would miss only
-vertices of U. So U's sets run only once another set has answered yes,
-and a no never runs them.
+(Picard and Queyranne 1980). Deferral: at t = a/c > 1, a union U of
+twin classes with a|A_u| <= c(n - 1) for each u in U and
+a min(P, D_j) <= c(n - j) for each j = 2..|U| holds no S of ratio below
+t that the other sets miss. Here P is the largest |A_u & A_u'| over
+u != u' in U, and D_j counts the vertices lying in A_u for at least j of
+the u in U: if N(S) missed only a set T of j vertices of U, every vertex
+of S would lie in the j sets A_u, u in T. So U's sets run only once
+another set has answered yes, and a no never runs them. The counts are
+kept bit-sliced, one mask per bit of a count (_deferred).
 """
 
 from __future__ import annotations
@@ -494,21 +497,59 @@ def _deferred(plan: _ThresholdPlan, a: int, c: int) -> int:
     """How many of plan.sets, the smallest, a no at t = a/c > 1 need not run.
 
     They form the U of the deferral rule of binding_below_threshold,
-    taken smallest first with k = |U| and P kept as they grow; the walk
-    stops at the first set that cannot join, so the deferred sets are the
-    last of plan.sets.
+    taken smallest first; the walk stops at the first set that cannot
+    join, so the deferred sets are the last of plan.sets. As U grows it
+    keeps k = |U|, P, and each vertex x's count of the sets A_u, u in U,
+    that hold x, bit-sliced: planes[b] is the mask of the x whose count
+    has bit b set, and a new set joins with one ripple carry per twin.
+    D_j, the number of x of count at least j, is read by comparing the
+    counts with j from the top bit down. Condition (ii') is checked only
+    at the j with aP > c(n - j), the others passing on P, and a pass at j
+    covers every j' <= n - aD_j/c as well, since D only falls as j grows.
+    P costs O(|U|^2) popcounts and the counts O(|U| log |U|) mask
+    operations.
     """
     n, k, p = plan.n, 0, 0
     taken: list[int] = []
+    planes = [0] * n.bit_length()  # counts are at most n
     for sub, size, m in reversed(plan.sets):
-        room = c * (n - k - m)
-        if a * size > c * (n - 1) or a * p > room:
+        if a * size > c * (n - 1):
             break
-        p = max(p, size if m > 1 else 0, *map(int.bit_count, map(sub.__and__, taken)))
-        if a * p > room:
-            break
-        taken.append(sub)
+        if taken:
+            q = max([(sub & x).bit_count() for x in taken])
+            if q > p:
+                p = q
+        if m > 1 and size > p:
+            p = size
+        for _ in range(m):
+            carry, b = sub, 0
+            while carry:
+                x = planes[b]
+                planes[b] = x ^ carry
+                carry &= x
+                b += 1
         k += m
+        j = n + 1 + (-a * p) // c  # the least j with aP > c(n - j)
+        if j < 2:
+            j = 2
+        while j <= k:
+            # count >= j compares the bits of count and j from k's top bit
+            # down to j's lowest 1, below which j has no bit to beat
+            over, tied = 0, -1
+            b, low = k.bit_length(), (j & -j).bit_length() - 1
+            while b > low:
+                b -= 1
+                x = planes[b]
+                if j >> b & 1:
+                    tied &= x
+                else:
+                    over |= tied & x
+                    tied &= ~x
+            d = (over | tied).bit_count()
+            if a * d > c * (n - j):
+                return len(taken)
+            j = n + 1 + (-a * d) // c
+        taken.append(sub)
     return len(taken)
 
 
@@ -560,14 +601,18 @@ def binding_below_threshold(
       A_u = A_u'; a set's twins counts the vertices u it is A_u of. Let U
       be a union of twin classes such that
       (i) a|A_u| <= c(n - 1) for every u in U, and
-      (ii) a P <= c(n - |U|), where P is the largest |A_u & A_u'| over
-      u != u' in U (|A_u| for a twin pair).
+      (ii') a min(P, D_j) <= c(n - j) for every j = 2..|U|, where P is
+      the largest |A_u & A_u'| over u != u' in U (|A_u| for a twin
+      pair) and D_j = #{x : x lies in A_u for at least j of the u in
+      U}, each u of a twin class counted.
       Then every S with ratio below t lies in the set of some u outside
       U. For let T = V - N(S). T is not empty, S lies inside A_w for
       each w in T, and |N(S)| = n - |T|. If T = {u} inside U, then
       n - 1 < t|S| <= t|A_u|, against (i). If T lies inside U with
-      |T| >= 2, take u != u' in T: S lies inside A_u & A_u', so
-      n - |T| < t|S| <= tP <= n - |U| <= n - |T|, against (ii). So some
+      |T| = j >= 2, then j <= |U|, and S lies inside A_u & A_u' for
+      u != u' in T, so |S| <= P, and each x in S lies in A_u for the j
+      vertices u of T, so |S| <= D_j. Hence
+      n - j < t|S| <= t min(P, D_j) <= n - j, against (ii'). So some
       u in T is outside U, S lies inside A_u, and that set's flow (or
       the rule that skips it) answers yes. U's sets are therefore
       deferred: they run, in their usual order, only once another set
@@ -575,8 +620,11 @@ def binding_below_threshold(
       never runs them. _deferred builds U from the smallest sets, the
       last of plan.sets, and stops at the first set that would break a
       condition, so a yes visits the sets in the order it always did.
-      On G(n, 0.3) the final no defers about a third of the sets, and
-      K_n (n >= 3, t = n - 1, every A_u a single vertex) defers all.
+      The pairwise rule (ii), aP <= c(n - |U|), implies (ii') since
+      min(P, D_j) <= P and n - |U| <= n - j, so (ii') defers at least
+      the sets (ii) did. On G(n, 0.3) the final no defers nearly half of
+      the sets, and K_n (n >= 3, t = n - 1, every A_u a single vertex)
+      defers all.
     """
     t = Fraction(t)
     if t <= 0:
@@ -629,8 +677,14 @@ def binding_number_flow(g: Graph) -> BindingResult:
       binding set, so the first round is the final no, and at t <= 1
       that no costs one flow (binding_below_threshold).
     - delta >= 2: the best start witness under _better among v and every
-      allowed set A_u = V - N(u) of the graph's _ThresholdPlan, each a
-      valid witness since u lies in A_u and not in N(A_u). For
+      allowed set A_u = V - N(u), each a valid witness since u lies in
+      A_u and not in N(A_u). w lies outside N(A_u) exactly when N(w) lies
+      inside N(u), that is when u is adjacent to every neighbour of w, so
+      |N(A_u)| = n - #{w : N(w) inside N(u)}. The twins of u (u among
+      them) all count. For each other twin class, ANDing the
+      neighbourhoods of its neighbours leaves the u it counts for; the
+      chain stops once no vertex outside the class is left: after a few
+      ANDs on a random graph, and after one on K_{p,q}. For
       1 < delta < n - 1 the set A_u of v already beats v: |N(A_u)| <= n - 1
       and |A_u| = n - delta, so its ratio is at most
       (n - 1)/(n - delta) < delta, since
@@ -649,9 +703,25 @@ def binding_number_flow(g: Graph) -> BindingResult:
         witness = sum(1 << u for u, row in enumerate(g.adj) if row == g.adj[v])
         den = witness.bit_count()
     else:
-        for sub, size, _ in _threshold_plan(g.adj).sets:
-            # w is outside N(A) exactly when none of its neighbours is in A
-            nb = g.n - [row & sub for row in g.adj].count(0)
+        n, adj = g.n, g.adj
+        twins: dict[int, int] = {}  # N(w) -> the vertices of that neighbourhood
+        for w, row in enumerate(adj):
+            twins[row] = twins.get(row, 0) | 1 << w
+        # inside[u] = #{w : N(w) lies inside N(u)}: u's twins, then the rest
+        inside = [twins[row].bit_count() for row in adj]
+        for row, tw in twins.items():
+            others = g.mask_all & ~tw  # the non-twins adjacent to every neighbour
+            while row and others:
+                lowb = row & -row
+                others &= adj[lowb.bit_length() - 1]
+                row ^= lowb
+            while others:
+                lowb = others & -others
+                inside[lowb.bit_length() - 1] += tw.bit_count()
+                others ^= lowb
+        for row, tw in twins.items():
+            u = (tw & -tw).bit_length() - 1
+            nb, size, sub = n - inside[u], n - degrees[u], g.mask_all & ~row
             if _better(nb, size, sub, num, den, witness):
                 num, den, witness = nb, size, sub
     t = Fraction(num, den)

@@ -815,34 +815,118 @@ def _twin_heavy_graphs(rng):
     return graphs + [_relabeled(g, rng) for g in graphs[::2]]
 
 
+def _deferral_rule_holds(g, t, subs):
+    """Whether U, the vertices u whose A_u is in subs, meets the deferral
+    rule at t = a/c, checked vertex by vertex: (i) a|A_u| <= c(n - 1) for
+    each u in U, and (ii') a min(P, D_j) <= c(n - j) for j = 2..|U|, with
+    P the largest |A_u & A_u'| over pairs u != u' in U and D_j the number
+    of x lying in A_u for at least j of the u in U."""
+    a, c, n = t.numerator, t.denominator, g.n
+    allowed = [x for x in (g.mask_all & ~row for row in g.adj) if x in subs]
+    if any(a * x.bit_count() > c * (n - 1) for x in allowed):
+        return False
+    p = max(((x & y).bit_count() for i, x in enumerate(allowed) for y in allowed[:i]), default=0)
+    counts = [sum(x >> v & 1 for x in allowed) for v in range(n)]
+    return all(a * min(p, sum(k >= j for k in counts)) <= c * (n - j)
+               for j in range(2, len(allowed) + 1))
+
+
 def _deferral_meets_the_rule(g, t):
     """How many sets _deferred leaves at t = a/c, once checked against the
-    rule vertex by vertex: with U the vertices u whose A_u is deferred,
-    a|A_u| <= c(n - 1) for each u in U, and a|A_u & A_u'| <= c(n - |U|)
-    for each pair u != u' in U."""
-    a, c, n = t.numerator, t.denominator, g.n
+    rule: the deferred sets meet it, and with the next smallest set they
+    would not, since the walk stops at the first set that breaks it."""
     plan = _ThresholdPlan(g.adj)
-    d = binding_module._deferred(plan, a, c)
-    subs = {sub for sub, _, _ in plan.sets[len(plan.sets) - d:]}
-    allowed = [x for x in (g.mask_all & ~row for row in g.adj) if x in subs]
-    assert all(a * x.bit_count() <= c * (n - 1) for x in allowed), (g.adj, t)
-    pairs = [(x & y).bit_count() for i, x in enumerate(allowed) for y in allowed[:i]]
-    assert a * max(pairs, default=0) <= c * (n - len(allowed)), (g.adj, t)
+    d = binding_module._deferred(plan, t.numerator, t.denominator)
+    subs = [sub for sub, _, _ in plan.sets]
+    assert _deferral_rule_holds(g, t, set(subs[len(subs) - d:])), (g.adj, t, d)
+    if d < len(subs):
+        assert not _deferral_rule_holds(g, t, set(subs[len(subs) - d - 1:])), (g.adj, t, d)
     return d
 
 
-def test_deferred_sets_meet_the_rule():
-    # thresholds (n - 1)/(n - k), among them the start ratio of a graph of
-    # least degree k, and one drawn above 1
-    rng = random.Random(2294)
+def _pairwise_deferred(plan, a, c):
+    """How many sets the pairwise rule defers: the walk of _deferred with
+    (ii') replaced by (ii), a P <= c(n - |U|)."""
+    n, k, p = plan.n, 0, 0
+    taken = []
+    for sub, size, m in reversed(plan.sets):
+        p = max(p, size if m > 1 else 0, *[(sub & x).bit_count() for x in taken])
+        if a * size > c * (n - 1) or a * p > c * (n - k - m):
+            break
+        taken.append(sub)
+        k += m
+    return len(taken)
+
+
+def _deferral_cases(rng):
+    """Twin-heavy and random graphs, each with the thresholds (n - 1)/(n - k),
+    among them the start ratio of a graph of least degree k, and one drawn
+    above 1."""
     graphs = _twin_heavy_graphs(rng) + [_random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.9))
                                         for _ in range(200)]
-    deferred = 0
     for g in graphs:
         n = g.n
         for t in {Fraction(n - 1, n - k) for k in range(1, n - 1)} | {Fraction(rng.randint(n, 3 * n), n)}:
-            deferred += _deferral_meets_the_rule(g, t) > 0
+            yield g, t
+
+
+def test_deferred_sets_meet_the_rule():
+    deferred = 0
+    for g, t in _deferral_cases(random.Random(2294)):
+        deferred += _deferral_meets_the_rule(g, t) > 0
     assert deferred > 500
+
+
+def test_deferral_defers_at_least_the_pairwise_rule():
+    # (ii) implies (ii'), so the per-size rule never defers fewer sets; on
+    # seeded G(44, p) at t = b(G) it defers more
+    more = 0
+    for g, t in _deferral_cases(random.Random(2294)):
+        plan = _ThresholdPlan(g.adj)
+        d = binding_module._deferred(plan, t.numerator, t.denominator)
+        pairwise = _pairwise_deferred(plan, t.numerator, t.denominator)
+        assert d >= pairwise, (g.adj, t)
+        more += d > pairwise
+    assert more > 500
+    for i, p in enumerate((0.3, 0.4, 0.5, 0.6)):
+        g = _random_graph(random.Random(2296 + i), 44, p)
+        b = binding_number_flow(g).value
+        plan = _ThresholdPlan(g.adj)
+        assert binding_module._deferred(plan, b.numerator, b.denominator) > _pairwise_deferred(
+            plan, b.numerator, b.denominator), p
+
+
+def test_start_counts_on_twin_classes(monkeypatch):
+    # the start's |N(A_u)| counts each w with N(w) inside N(u), twins of u
+    # and u itself among them: the first threshold is the least ratio over
+    # v and the allowed sets, here with N(A_u) built directly, and a graph
+    # settled by its first decision returns the best of those sets
+    calls = []
+    decide = binding_module.binding_below_threshold
+    monkeypatch.setattr(
+        binding_module, "binding_below_threshold", lambda g, t: calls.append(t) or decide(g, t)
+    )
+    rng = random.Random(2297)
+    twins = 0
+    for g in _twin_heavy_graphs(rng) + _nested_graphs(rng):
+        d = _min_degree(g)
+        if d < 2:
+            continue
+        twins += len(set(g.adj)) < g.n
+        v = [row.bit_count() for row in g.adj].index(d)
+        starts = [(Fraction(d), 1, (v,), 1 << v)]
+        for row in g.adj:
+            sub = g.mask_all & ~row
+            starts.append((Fraction(g.neighborhood(sub).bit_count(), sub.bit_count()),
+                           sub.bit_count(), vertices_of(sub), sub))
+        start = min(starts)
+        calls.clear()
+        r = binding_number_flow(g)
+        assert calls[0] == start[0], g.adj
+        assert r.value == binding_number_bruteforce(g).value, g.adj
+        if len(calls) == 1:
+            assert r.witness == start[3], g.adj
+    assert twins > 100, twins
 
 
 def test_deferral_around_b_matches_subset_oracle():
