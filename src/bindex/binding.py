@@ -50,13 +50,15 @@ state is the flow on the arcs that carry some plus masks of the right
 vertices with sink room and of the left vertices sending to each right
 one. A Dinic phase levels it one layer at a time by ORs of those masks.
 
-What a decision needs that does not depend on the threshold is a
-_ThresholdPlan of the graph: its allowed sets, each with its twin count
-(the vertices u of one A_u share N(u)). A plan never changes once built,
-so a decision depends on (G, t) alone. One plan, that of the graph
-decided last, stays cached, so the rounds on a graph build it once and
-memory holds one graph's plan between calls: at most n allowed sets of
-one mask, one size and one count each.
+What a decision needs that does not depend on the threshold is the
+graph's plan (_threshold_plan), its one partition into twin classes: the
+vertices u of one class share N(u), and so one allowed set A_u. A plan
+holds each class's allowed set, its size and the mask of its vertices;
+it never changes once built, so a decision depends on (G, t) alone. The
+start of binding_number_flow reads the same plan. One plan, that of the
+graph decided last, stays cached, so a call builds it once and memory
+holds one graph's plan between calls: at most n classes of two masks and
+one size each.
 
 Two rules settle allowed sets without a flow; binding_below_threshold
 gives their proofs. Nested witnesses: within one decision, a set A lying
@@ -235,44 +237,25 @@ def binding_number_bruteforce(g: Graph) -> BindingResult:
     return BindingResult.checked(g, best, "brute")
 
 
-class _ThresholdPlan:
-    """What every threshold decision on one graph shares.
-
-    sets: (sub, size, twins) for each distinct allowed set
-    A_u = V - N(u), largest first, ties in order of first u; twins counts
-    the vertices u with A_u = sub (twins, N(u) = N(u')). adj and n are
-    the graph's; the network of _ThresholdNetwork reads its middle arcs
-    from adj, so a plan holds no topology and a decision allocates only
-    its flow state.
-
-    A plan depends on the adjacency alone and is never changed after it
-    is built, so threads may share it.
-    """
-
-    __slots__ = ("adj", "n", "sets")
-
-    def __init__(self, adj: tuple[int, ...]) -> None:
-        n = len(adj)
-        self.adj, self.n = adj, n
-        twins: dict[int, int] = {}
-        for row in adj:
-            sub = ((1 << n) - 1) & ~row
-            twins[sub] = twins.get(sub, 0) + 1
-        self.sets = sorted(
-            ((sub, sub.bit_count(), k) for sub, k in twins.items()), key=lambda e: -e[1]
-        )
-
-
 @functools.lru_cache(maxsize=1)
-def _threshold_plan(adj: tuple[int, ...]) -> _ThresholdPlan:
-    """The plan of the graph with adjacency adj, cached for one graph.
+def _threshold_plan(adj: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The twin classes of the graph with adjacency adj, cached for one graph.
 
-    binding_number_flow decides one graph round after round, so its rounds
-    share one plan, and between calls memory holds one graph's plan.
-    lru_cache keeps its entry consistent across threads; threads deciding
-    different graphs only rebuild plans.
+    One (sub, size, twins) for each distinct allowed set A_u = V - N(u),
+    largest first, ties in order of first u; twins is the mask of the
+    vertices u with A_u = sub (twins, N(u) = N(u')). The flow start and
+    every threshold decision read it, so a call builds it once, and
+    between calls memory holds one graph's plan. A tuple never changes, so
+    threads may share it; threads deciding different graphs only rebuild
+    plans.
     """
-    return _ThresholdPlan(adj)
+    n = len(adj)
+    twins: dict[int, int] = {}
+    for u, row in enumerate(adj):
+        twins[row] = twins.get(row, 0) | 1 << u
+    full = (1 << n) - 1
+    return tuple(sorted(((full & ~row, n - row.bit_count(), tw) for row, tw in twins.items()),
+                        key=lambda e: -e[1]))
 
 
 class _ThresholdNetwork(Dinic):
@@ -300,13 +283,13 @@ class _ThresholdNetwork(Dinic):
     the min-cut side is reach, not Dinic.source_side.
     """
 
-    __slots__ = ("plan", "a", "current", "res", "avail", "fl", "room", "free", "into", "layers", "reach")
+    __slots__ = ("adj", "a", "current", "res", "avail", "fl", "room", "free", "into", "layers", "reach")
 
-    def __init__(self, plan: _ThresholdPlan, a: int, c: int) -> None:
-        n = plan.n
+    def __init__(self, adj: tuple[int, ...], a: int, c: int) -> None:
+        n = len(adj)
         # Dinic.maxflow clears n entries of it before each phase: none here
         self.n, self.out, self.to, self.cap, self.level, self.it = 0, (), (), (), (), []
-        self.plan, self.a = plan, a
+        self.adj, self.a = adj, a
         self.current = 0  # the allowed set imposed now
         self.res, self.avail = [0] * n, 0
         self.fl: list[dict[int, int]] = [{} for _ in range(n)]
@@ -351,7 +334,7 @@ class _ThresholdNetwork(Dinic):
 
         Cheaper than a Dinic phase, which then only has to reroute.
         """
-        adj, res, fl, room, into = self.plan.adj, self.res, self.fl, self.room, self.into
+        adj, res, fl, room, into = self.adj, self.res, self.fl, self.room, self.into
         avail, free = self.avail, self.free
         rest = avail
         while rest and free:
@@ -389,7 +372,7 @@ class _ThresholdNetwork(Dinic):
         last layer. When no layer does, every left vertex reachable from
         the source is levelled, and reach holds them.
         """
-        adj, into, free = self.plan.adj, self.into, self.free
+        adj, into, free = self.adj, self.into, self.free
         left = seen_left = self.avail
         seen_right = 0
         layers = self.layers = []
@@ -422,7 +405,7 @@ class _ThresholdNetwork(Dinic):
         positions, ending at a hit. A vertex found to be a dead end leaves
         its layer, so the layer masks serve as both levels and iterators.
         """
-        adj, res, fl, room, into = self.plan.adj, self.res, self.fl, self.room, self.into
+        adj, res, fl, room, into = self.adj, self.res, self.fl, self.room, self.into
         layers = self.layers
         end = len(layers)
         total = 0
@@ -493,12 +476,13 @@ class _ThresholdNetwork(Dinic):
         return self.reach
 
 
-def _deferred(plan: _ThresholdPlan, a: int, c: int) -> int:
-    """How many of plan.sets, the smallest, a no at t = a/c > 1 need not run.
+def _deferred(sets: Sequence[tuple[int, int, int]], n: int, a: int, c: int) -> int:
+    """How many of sets, the smallest, a no at t = a/c > 1 need not run.
 
-    They form the U of the deferral rule of binding_below_threshold,
-    taken smallest first; the walk stops at the first set that cannot
-    join, so the deferred sets are the last of plan.sets. As U grows it
+    sets is the plan of a graph on n vertices (_threshold_plan). The
+    deferred sets form the U of the deferral rule of
+    binding_below_threshold, taken smallest first; the walk stops at the
+    first set that cannot join, so they are the last of sets. As U grows it
     keeps k = |U|, P, and each vertex x's count of the sets A_u, u in U,
     that hold x, bit-sliced: planes[b] is the mask of the x whose count
     has bit b set, and a new set joins with one ripple carry per twin.
@@ -509,12 +493,13 @@ def _deferred(plan: _ThresholdPlan, a: int, c: int) -> int:
     P costs O(|U|^2) popcounts and the counts O(|U| log |U|) mask
     operations.
     """
-    n, k, p = plan.n, 0, 0
+    k, p = 0, 0
     taken: list[int] = []
     planes = [0] * n.bit_length()  # counts are at most n
-    for sub, size, m in reversed(plan.sets):
+    for sub, size, twins in reversed(sets):
         if a * size > c * (n - 1):
             break
+        m = twins.bit_count()
         if taken:
             q = max([(sub & x).bit_count() for x in taken])
             if q > p:
@@ -565,14 +550,14 @@ def binding_below_threshold(
     call (_ThresholdNetwork): moving to the next set keeps the flow of the
     vertices that stay, and augments from there.
 
-    What does not depend on t comes from the graph's _ThresholdPlan: the
-    allowed sets and their twin counts. The plan is cached for the graph
-    decided last, so the Dinkelbach rounds of binding_number_flow build
-    it once; a decision allocates only the network's flow state, O(n)
-    lists and masks plus one entry per arc that carries flow. The cache
-    holds one plan: at most n entries of one mask, one size and one
-    count each. A plan never changes, so the answer and the flows run
-    depend on (G, t) alone.
+    What does not depend on t comes from the graph's plan
+    (_threshold_plan): the allowed sets, each with the mask of its twins.
+    The plan is cached for the graph decided last, so binding_number_flow,
+    whose start builds it, and its Dinkelbach rounds build it once; a
+    decision allocates only the network's flow state, O(n) lists and
+    masks plus one entry per arc that carries flow. The cache holds one
+    plan: at most n entries of two masks and one size each. A plan never
+    changes, so the answer and the flows run depend on (G, t) alone.
 
     When t <= 1 the first flow allows every vertex. Its smallest minimiser
     W over V has f(W) < 0 or is empty. If it is empty (the flow
@@ -598,7 +583,7 @@ def binding_below_threshold(
       it, so the minimisers over A are those over A' that lie in A, and
       their least element is W' again.
     - Deferral, at t > 1. Call u and u' twins when N(u) = N(u'), so that
-      A_u = A_u'; a set's twins counts the vertices u it is A_u of. Let U
+      A_u = A_u'; a set's twins are the vertices u it is A_u of. Let U
       be a union of twin classes such that
       (i) a|A_u| <= c(n - 1) for every u in U, and
       (ii') a min(P, D_j) <= c(n - j) for every j = 2..|U|, where P is
@@ -618,7 +603,7 @@ def binding_below_threshold(
       deferred: they run, in their usual order, only once another set
       has answered yes, so a yes runs every set as before and a no
       never runs them. _deferred builds U from the smallest sets, the
-      last of plan.sets, and stops at the first set that would break a
+      last of the plan, and stops at the first set that would break a
       condition, so a yes visits the sets in the order it always did.
       The pairwise rule (ii), aP <= c(n - |U|), implies (ii') since
       min(P, D_j) <= P and n - |U| <= n - j, so (ii') defers at least
@@ -633,25 +618,25 @@ def binding_below_threshold(
     iso = _isolated_result(g, "flow")
     if iso is not None:
         return True, iso.witness
-    plan = _threshold_plan(g.adj)
+    sets = _threshold_plan(g.adj)
     net: Optional[_ThresholdNetwork] = None  # built when a set first needs it
     best: Optional[tuple[int, int, int]] = None  # (num, den, mask)
     settled: list[tuple[int, int]] = []  # (A', W') of the flow answers
     if a <= c:
-        net = _ThresholdNetwork(plan, a, c)
+        net = _ThresholdNetwork(g.adj, a, c)
         w = net.witness(g.mask_all)
         if not w:
             return False, None
         best = (g.neighborhood(w).bit_count(), w.bit_count(), w)
         settled.append((g.mask_all, w))
-    first = len(plan.sets) - (_deferred(plan, a, c) if a > c else 0)
-    for i, (sub, _, _) in enumerate(plan.sets):
+    first = len(sets) - (_deferred(sets, g.n, a, c) if a > c else 0)
+    for i, (sub, _, _) in enumerate(sets):
         if i == first and best is None:
             return False, None
         if any(sub & ~outer == 0 and w & ~sub == 0 for outer, w in settled):
             continue
         if net is None:
-            net = _ThresholdNetwork(plan, a, c)
+            net = _ThresholdNetwork(g.adj, a, c)
         smask = net.witness(sub)
         settled.append((sub, smask))
         if not smask:
@@ -668,14 +653,16 @@ def binding_below_threshold(
 def binding_number_flow(g: Graph) -> BindingResult:
     """Exact b(G) by Dinkelbach iteration over threshold decisions.
 
-    The rounds start from a valid witness of small ratio, chosen by the
-    least degree delta and the least-degree vertex v of least index:
+    The rounds start from a valid witness of small ratio, read from the
+    first twin class of the graph's plan (_threshold_plan), that of the
+    least vertex v of least degree: delta = n - its size, and v is the
+    lowest vertex of its mask.
 
-    - delta = 1: the pendant class P = {u : N(u) = N(v)}, the vertices
-      hanging on v's one neighbour x. N(P) = {x} != V, so P is a witness,
-      of ratio 1/|P|. On most extremal constructions such a class is a
-      binding set, so the first round is the final no, and at t <= 1
-      that no costs one flow (binding_below_threshold).
+    - delta = 1: the pendant class P = {u : N(u) = N(v)}, the class's own
+      mask, the vertices hanging on v's one neighbour x. N(P) = {x} != V,
+      so P is a witness, of ratio 1/|P|. On most extremal constructions
+      such a class is a binding set, so the first round is the final no,
+      and at t <= 1 that no costs one flow (binding_below_threshold).
     - delta >= 2: the best start witness under _better among v and every
       allowed set A_u = V - N(u), each a valid witness since u lies in
       A_u and not in N(A_u). w lies outside N(A_u) exactly when N(w) lies
@@ -695,33 +682,30 @@ def binding_number_flow(g: Graph) -> BindingResult:
     iso = _isolated_result(g, "flow")
     if iso is not None:
         return iso
-    degrees = [row.bit_count() for row in g.adj]
-    num = min(degrees)
-    v = degrees.index(num)
-    den, witness = 1, 1 << v
+    n, adj, full = g.n, g.adj, g.mask_all
+    sets = _threshold_plan(adj)
+    _, size, first = sets[0]
+    num = n - size
     if num == 1:
-        witness = sum(1 << u for u, row in enumerate(g.adj) if row == g.adj[v])
-        den = witness.bit_count()
+        den, witness = first.bit_count(), first
     else:
-        n, adj = g.n, g.adj
-        twins: dict[int, int] = {}  # N(w) -> the vertices of that neighbourhood
-        for w, row in enumerate(adj):
-            twins[row] = twins.get(row, 0) | 1 << w
-        # inside[u] = #{w : N(w) lies inside N(u)}: u's twins, then the rest
-        inside = [twins[row].bit_count() for row in adj]
-        for row, tw in twins.items():
-            others = g.mask_all & ~tw  # the non-twins adjacent to every neighbour
+        den, witness = 1, first & -first
+        # inside[u] = #{w : N(w) lies inside N(u)}, read at the first u of
+        # each class: its own class, then the others whose chain leaves it
+        inside = [0] * n
+        for sub, _, tw in sets:
+            row, others = full ^ sub, full ^ tw  # N(w); the non-twins of w
             while row and others:
                 lowb = row & -row
                 others &= adj[lowb.bit_length() - 1]
                 row ^= lowb
+            others |= tw & -tw
             while others:
                 lowb = others & -others
                 inside[lowb.bit_length() - 1] += tw.bit_count()
                 others ^= lowb
-        for row, tw in twins.items():
-            u = (tw & -tw).bit_length() - 1
-            nb, size, sub = n - inside[u], n - degrees[u], g.mask_all & ~row
+        for sub, size, tw in sets:
+            nb = n - inside[(tw & -tw).bit_length() - 1]
             if _better(nb, size, sub, num, den, witness):
                 num, den, witness = nb, size, sub
     t = Fraction(num, den)

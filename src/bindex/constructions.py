@@ -69,12 +69,20 @@ class RegimeReport:
             raise DomainError(f"unknown regime {self.regime!r}")
 
 
+def _check_r(r: int) -> None:
+    """Raise unless r >= 1, the domain of the paper's b(G) < 1/r."""
+    if r < 1:
+        raise DomainError("r must be at least 1")
+
+
 def alpha_value(n: int, r: int) -> int:
+    _check_r(r)
     return (n - 1) // (r + 1)
 
 
 def f_formula(n: int, r: int) -> int:
     """Edges of the balanced-as-possible complete bipartite candidate."""
+    _check_r(r)
     if n < r + 2:
         raise DomainError("f needs n >= r + 2")
     a = alpha_value(n, r)
@@ -83,6 +91,7 @@ def f_formula(n: int, r: int) -> int:
 
 def g_formula(n: int, r: int) -> int:
     """Edges of the double nested candidate."""
+    _check_r(r)
     if n < r + 2:
         raise DomainError("g needs n >= r + 2")
     m = n - r - 1
@@ -101,8 +110,7 @@ def general_extremal(n: int, r: int) -> Construction:
 def family_general(n: int, r: int, t1: int) -> Construction:
     """K_t1 joined to (K_{n-(r+1)t1-1} union (r*t1+1) isolated vertices)."""
     check_vertex_count(n)
-    if r < 1:
-        raise DomainError("r must be at least 1")
+    _check_r(r)
     if n < r + 3:
         raise DomainError("need n >= r + 3")
     if not 1 <= t1 <= (n - 3) // (r + 1):
@@ -135,6 +143,7 @@ def double_nested_construction(p: tuple[int, ...], q: tuple[int, ...]) -> Constr
 
 def bipartite_extremal_K(n: int, r: int) -> Construction:
     """K_{n-alpha, alpha} with alpha = floor((n-1)/(r+1)); e = f(n, r)."""
+    _check_r(r)
     if n < r + 3:
         raise DomainError("need n >= r + 3")
     a = alpha_value(n, r)
@@ -148,6 +157,7 @@ def bipartite_extremal_D(n: int, r: int, variant: str = "ceil") -> Construction:
     mirror; for even n - r - 1 the two coincide. Blocks degenerate below
     n = r + 5.
     """
+    _check_r(r)
     if n < r + 3:
         raise DomainError("need n >= r + 3")
     if n < r + 5:
@@ -249,8 +259,7 @@ def _bip_report(
 def theorem6_regime(n: int, r: int) -> RegimeReport:
     """Edge maximum over bipartite n-vertex graphs with no isolated vertex
     and binding number below 1/r: compare f and g as exact integers."""
-    if r < 1:
-        raise DomainError("r must be at least 1")
+    _check_r(r)
     if n < r + 3:
         raise DomainError("need n >= r + 3")
     hyp = n >= r * r + r + 1
@@ -270,8 +279,7 @@ def theorem6_regime(n: int, r: int) -> RegimeReport:
 def theorem7_regime(n: int, r: int) -> RegimeReport:
     """Spectral analogue: maximize rho instead of edges. The winner's
     radius is returned as a certified root interval."""
-    if r < 1:
-        raise DomainError("r must be at least 1")
+    _check_r(r)
     if n < r + 3:
         raise DomainError("need n >= r + 3")
     hyp = n >= r * r + r + 2

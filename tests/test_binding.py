@@ -19,7 +19,6 @@ from bindex.binding import (
     _lex_key,
     _threshold_plan,
     _ThresholdNetwork,
-    _ThresholdPlan,
     binding_below_threshold,
     binding_number_bruteforce,
     binding_number_flow,
@@ -412,9 +411,8 @@ def test_threshold_network_matches_an_add_edge_dinic():
         a, c = rng.randint(1, n + 1), rng.randint(1, n + 1)
         below += a < c
         above += a > c
-        plan = _ThresholdPlan(g.adj)
-        net = _ThresholdNetwork(plan, a, c)
-        subs = [sub for sub, _, _ in plan.sets] + [g.mask_all]
+        net = _ThresholdNetwork(g.adj, a, c)
+        subs = [sub for sub, _, _ in _threshold_plan(g.adj)] + [g.mask_all]
         for _ in range(6):
             sub = rng.choice(subs)
             ref = Dinic(2 + 2 * n)
@@ -460,8 +458,54 @@ def test_threshold_plan_cache_holds_one_graph():
     info = _threshold_plan.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
     gc.collect()
-    plans = [o for o in gc.get_objects() if isinstance(o, _ThresholdPlan)]
-    assert [p.adj for p in plans] == [graphs[-1].adj]
+    # the last graph's plan, held by the cache, this name and the call alone
+    plan = _threshold_plan(graphs[-1].adj)
+    assert _threshold_plan.cache_info().misses == info.misses
+    assert sys.getrefcount(plan) == 3
+
+
+def test_a_flow_call_builds_one_partition():
+    # the start reads the plan it builds, and every decision of the call
+    # finds that plan cached, whether the start is a pendant class
+    # (delta = 1), the best allowed set (delta >= 2) or v of K_n
+    starts = {"1": 0, "2..n-2": 0, "n-1": 0}
+    for g in _seeded_by_min_degree(random.Random(2298)):
+        d = _min_degree(g)
+        if d == 0:
+            continue
+        starts["1" if d == 1 else "n-1" if d == g.n - 1 else "2..n-2"] += 1
+        _threshold_plan.cache_clear()
+        binding_number_flow(g)
+        info = _threshold_plan.cache_info()
+        assert (info.misses, info.hits >= 1) == (1, True), (g.adj, info)
+    assert starts["1"] > 100 and starts["2..n-2"] > 200 and starts["n-1"] >= 10, starts
+
+
+def test_plan_partitions_the_vertices_in_start_order():
+    # each class holds the vertices of one allowed set, the classes cover
+    # V once, sizes fall with ties in order of first vertex, and the first
+    # class is that of the least vertex of least degree: for delta = 1 the
+    # pendant class of the start
+    rng = random.Random(2299)
+    graphs = _seeded_by_min_degree(rng) + _twin_heavy_graphs(rng)
+    pendants = 0
+    for g in graphs + [_relabeled(g, rng) for g in graphs[::3]]:
+        plan = _threshold_plan(g.adj)
+        assert functools.reduce(operator.or_, (tw for _, _, tw in plan)) == g.mask_all, g.adj
+        assert sum(tw.bit_count() for _, _, tw in plan) == g.n, g.adj
+        for sub, size, tw in plan:
+            assert size == sub.bit_count(), g.adj
+            assert all(g.mask_all & ~g.adj[u] == sub for u in vertices_of(tw)), g.adj
+        keys = [(-size, (tw & -tw).bit_length()) for _, size, tw in plan]
+        assert keys == sorted(keys), g.adj
+        degrees = [row.bit_count() for row in g.adj]
+        v = degrees.index(min(degrees))
+        first = plan[0][2]
+        assert first & -first == 1 << v, g.adj
+        if degrees[v] == 1:
+            pendants += 1
+            assert first == mask_of(u for u, row in enumerate(g.adj) if row == g.adj[v]), g.adj
+    assert pendants > 100, pendants
 
 
 def _thresholds(g, rng, k):
@@ -835,21 +879,22 @@ def _deferral_meets_the_rule(g, t):
     """How many sets _deferred leaves at t = a/c, once checked against the
     rule: the deferred sets meet it, and with the next smallest set they
     would not, since the walk stops at the first set that breaks it."""
-    plan = _ThresholdPlan(g.adj)
-    d = binding_module._deferred(plan, t.numerator, t.denominator)
-    subs = [sub for sub, _, _ in plan.sets]
+    plan = _threshold_plan(g.adj)
+    d = binding_module._deferred(plan, g.n, t.numerator, t.denominator)
+    subs = [sub for sub, _, _ in plan]
     assert _deferral_rule_holds(g, t, set(subs[len(subs) - d:])), (g.adj, t, d)
     if d < len(subs):
         assert not _deferral_rule_holds(g, t, set(subs[len(subs) - d - 1:])), (g.adj, t, d)
     return d
 
 
-def _pairwise_deferred(plan, a, c):
+def _pairwise_deferred(plan, n, a, c):
     """How many sets the pairwise rule defers: the walk of _deferred with
     (ii') replaced by (ii), a P <= c(n - |U|)."""
-    n, k, p = plan.n, 0, 0
+    k, p = 0, 0
     taken = []
-    for sub, size, m in reversed(plan.sets):
+    for sub, size, twins in reversed(plan):
+        m = twins.bit_count()
         p = max(p, size if m > 1 else 0, *[(sub & x).bit_count() for x in taken])
         if a * size > c * (n - 1) or a * p > c * (n - k - m):
             break
@@ -882,18 +927,18 @@ def test_deferral_defers_at_least_the_pairwise_rule():
     # seeded G(44, p) at t = b(G) it defers more
     more = 0
     for g, t in _deferral_cases(random.Random(2294)):
-        plan = _ThresholdPlan(g.adj)
-        d = binding_module._deferred(plan, t.numerator, t.denominator)
-        pairwise = _pairwise_deferred(plan, t.numerator, t.denominator)
+        plan = _threshold_plan(g.adj)
+        d = binding_module._deferred(plan, g.n, t.numerator, t.denominator)
+        pairwise = _pairwise_deferred(plan, g.n, t.numerator, t.denominator)
         assert d >= pairwise, (g.adj, t)
         more += d > pairwise
     assert more > 500
     for i, p in enumerate((0.3, 0.4, 0.5, 0.6)):
         g = _random_graph(random.Random(2296 + i), 44, p)
         b = binding_number_flow(g).value
-        plan = _ThresholdPlan(g.adj)
-        assert binding_module._deferred(plan, b.numerator, b.denominator) > _pairwise_deferred(
-            plan, b.numerator, b.denominator), p
+        plan = _threshold_plan(g.adj)
+        assert binding_module._deferred(plan, g.n, b.numerator, b.denominator) > _pairwise_deferred(
+            plan, g.n, b.numerator, b.denominator), p
 
 
 def test_start_counts_on_twin_classes(monkeypatch):
@@ -960,7 +1005,7 @@ def test_final_no_runs_fewer_flows_than_allowed_sets(monkeypatch):
         _threshold_plan.cache_clear()
         calls.clear()
         assert binding_below_threshold(g, b) == (False, None)
-        assert len(calls) < len(_threshold_plan(g.adj).sets), p
+        assert len(calls) < len(_threshold_plan(g.adj)), p
     for n in (3, 5, 30):
         calls.clear()
         assert binding_number_flow(complete(n)).value == n - 1

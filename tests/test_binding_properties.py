@@ -48,8 +48,8 @@ def twin_classes_and_thresholds(draw):
     independent class of one or two vertices, joined to every class its
     vertex is adjacent to in H, and a hub, an independent class of up to
     four vertices, may be joined to all of them. The vertices of a class
-    share their neighbourhood, so their allowed set is one, of twin count
-    the class size. The thresholds are b(G), just above and just below
+    share their neighbourhood, so their allowed set is one, whose twin
+    mask is the class. The thresholds are b(G), just above and just below
     it, and a/c above 1, where sets are deferred.
     """
     k = draw(st.integers(1, 6))

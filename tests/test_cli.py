@@ -184,6 +184,19 @@ def test_out_file_gets_the_stdout_bytes(argv, tmp_path, capsys):
     assert untimed[0] == untimed[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "bipK", "--n", "5", "--r", "-1"],
+    ["construct", "bipK", "--n", "5", "--r", "0"],
+    ["construct", "bipD", "--n", "9", "--r", "0"],
+])
+def test_construct_rejects_r_below_one(argv, capsys):
+    # outside the paper's domain: no graph, no traceback, the usage code
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: r must be at least 1\n"
+
+
 def test_exit_two_on_usage_errors(capsys):
     assert run(["binding"]) == 2
     assert "provide --g6 or --in" in capsys.readouterr().err

@@ -97,6 +97,20 @@ def test_bipartite_extremal_D():
         bipartite_extremal_D(21, 4, "round")
 
 
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("build", [
+    bipartite_extremal_K,
+    bipartite_extremal_D,
+    f_formula,
+    g_formula,
+    alpha_value,
+])
+def test_bipartite_builders_reject_r_below_one(build, r):
+    # r = 0 built K_{1,n-1} and r = -1 divided by zero in alpha_value
+    with pytest.raises(DomainError, match="r must be at least 1"):
+        build(9, r)
+
+
 def test_constructions_satisfy_binding_bound():
     for r in range(1, 4):
         for n in range(r + 5, r + 15):
