@@ -60,19 +60,19 @@ graph decided last, stays cached, so a call builds it once and memory
 holds one graph's plan between calls: at most n classes of two masks and
 one size each.
 
-Two rules settle allowed sets without a flow; binding_below_threshold
-gives their proofs. Nested witnesses: within one decision, a set A lying
-inside an earlier set A' whose flow witness W' lies inside A has W' as
-its witness too, since the minimisers of c|N(S)| - a|S| form a lattice
-(Picard and Queyranne 1980). Deferral: at t = a/c > 1, a union U of
-twin classes with a|A_u| <= c(n - 1) for each u in U and
-a min(P, D_j) <= c(n - j) for each j = 2..|U| holds no S of ratio below
-t that the other sets miss. Here P is the largest |A_u & A_u'| over
-u != u' in U, and D_j counts the vertices lying in A_u for at least j of
-the u in U: if N(S) missed only a set T of j vertices of U, every vertex
-of S would lie in the j sets A_u, u in T. So U's sets run only once
-another set has answered yes, and a no never runs them. The counts are
-kept bit-sliced, one mask per bit of a count (_deferred).
+A decision keeps no record of earlier answers, and only two rules spare
+a set its flow; binding_below_threshold gives their proofs. At t <= 1,
+a set holding the witness W of the flow over all vertices has W as its
+witness too: the minimisers of c|N(S)| - a|S| form a lattice (Picard and
+Queyranne 1980). Deferral: at t = a/c > 1, a union U of twin classes
+with a|A_u| <= c(n - 1) for each u in U and a min(P, D_j) <= c(n - j)
+for each j = 2..|U| holds no S of ratio below t that the other sets
+miss. Here P is the largest |A_u & A_u'| over u != u' in U, and D_j
+counts the vertices lying in A_u for at least j of the u in U: if N(S)
+missed only a set T of j vertices of U, every vertex of S would lie in
+the j sets A_u, u in T. So U's sets run only once another set has
+answered yes, and a no never runs them. The counts are kept bit-sliced,
+one mask per bit of a count (_deferred).
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -279,16 +280,15 @@ class _ThresholdNetwork(Dinic):
       into w, whose reverse arcs w -> v are the residual ones.
 
     Dinic.maxflow is the phase loop, run unchanged over the _bfs and _dfs
-    below; the out, to and cap arrays of an arc-list Dinic stay empty, and
-    the min-cut side is reach, not Dinic.source_side.
+    below. Of the arc-list Dinic's state only to is set, empty, so an arc
+    count reads 0; the min-cut side is reach, not Dinic.source_side.
     """
 
     __slots__ = ("adj", "a", "current", "res", "avail", "fl", "room", "free", "into", "layers", "reach")
 
     def __init__(self, adj: tuple[int, ...], a: int, c: int) -> None:
         n = len(adj)
-        # Dinic.maxflow clears n entries of it before each phase: none here
-        self.n, self.out, self.to, self.cap, self.level, self.it = 0, (), (), (), (), []
+        self.to = ()
         self.adj, self.a = adj, a
         self.current = 0  # the allowed set imposed now
         self.res, self.avail = [0] * n, 0
@@ -539,16 +539,17 @@ def _deferred(sets: Sequence[tuple[int, int, int]], n: int, a: int, c: int) -> i
 
 
 def binding_below_threshold(
-    g: Graph, t: Fraction
+    g: Graph, t: numbers.Rational
 ) -> tuple[bool, Optional[int]]:
     """Decide whether some nonempty S with N(S) != V has |N(S)|/|S| < t.
 
     Cunningham's reduction: N(S) misses u exactly when S lies inside the
     allowed set A = V without N(u), so the smallest minimiser of
     f(S) = c|N(S)| - a|S| over S inside A, with t = a/c, is a witness
-    whenever that minimum is negative. One network serves every A of a
-    call (_ThresholdNetwork): moving to the next set keeps the flow of the
-    vertices that stay, and augments from there.
+    whenever that minimum is negative. One network, built once, serves
+    every A of a call (_ThresholdNetwork): moving to the next set keeps
+    the flow of the vertices that stay, and augments from there. t must be
+    an int or a Fraction: a float such as 0.1 is not the ratio it prints.
 
     What does not depend on t comes from the graph's plan
     (_threshold_plan): the allowed sets, each with the mask of its twins.
@@ -557,31 +558,28 @@ def binding_below_threshold(
     decision allocates only the network's flow state, O(n) lists and
     masks plus one entry per arc that carries flow. The cache holds one
     plan: at most n entries of two masks and one size each. A plan never
-    changes, so the answer and the flows run depend on (G, t) alone.
+    changes and a decision keeps no record of earlier answers, so the
+    answer and the flows run depend on (G, t) alone.
 
-    When t <= 1 the first flow allows every vertex. Its smallest minimiser
-    W over V has f(W) < 0 or is empty. If it is empty (the flow
-    saturates), no S at all has ratio < t: the answer is no, for one flow
-    rather than one per set. Otherwise |N(W)| < t|W| <= |W|, so
-    N(W) != V and W lies inside some allowed set; by the nested-witness
-    rule below, with A' = V, W is the witness of every allowed set
-    containing it. So W joins the candidates and (V, W) the settled
-    pairs, and only sets that miss a vertex of W run a flow. Above 1 this
-    flow proves nothing: S = V has ratio 1 < t and N(V) = V.
-
-    The sets are then visited largest first. Witnesses are aggregated over
-    the sets by minimum ratio with the (size, lex) tie-break of _better, a
+    The sets are visited largest first. Witnesses are aggregated over the
+    sets by minimum ratio with the (size, lex) tie-break of _better, a
     strict total order, so neither the visiting order nor a set skipped
-    for giving a known witness changes the answer. Two rules skip sets
-    without a flow:
+    for giving a known witness changes the answer. Only two things spare
+    a set its flow:
 
-    - Nested witnesses. f is submodular, so its minimisers over a set
+    - The all-vertex witness, at t <= 1. The first flow allows every
+      vertex; let W be its smallest minimiser of f over A' = V, so f(W) < 0
+      or W is empty. If W is empty (the flow saturates), no S at all has
+      ratio < t: the answer is no, for one flow rather than one per set.
+      Otherwise |N(W)| < t|W| <= |W|, so N(W) != V and W lies inside
+      some allowed set. f is submodular, so its minimisers over a set
       form a lattice (Picard and Queyranne 1980) whose least element is
-      the smallest minimiser. Let W' be that of an earlier flow over A'
-      (0 when A' answered no). Every A with W' inside A inside A' is
-      skipped: the minimum over A is at least that over A' and W' reaches
-      it, so the minimisers over A are those over A' that lie in A, and
-      their least element is W' again.
+      the smallest minimiser. An allowed set A containing W lies inside
+      A' = V, so its minimum is at least that over V, which W reaches:
+      the minimisers over A are those over V that lie in A, and their
+      least element is W again. So W joins the candidates, and only sets
+      that miss a vertex of W run a flow. Above 1 this flow proves
+      nothing: S = V has ratio 1 < t and N(V) = V.
     - Deferral, at t > 1. Call u and u' twins when N(u) = N(u'), so that
       A_u = A_u'; a set's twins are the vertices u it is A_u of. Let U
       be a union of twin classes such that
@@ -598,19 +596,20 @@ def binding_below_threshold(
       u != u' in T, so |S| <= P, and each x in S lies in A_u for the j
       vertices u of T, so |S| <= D_j. Hence
       n - j < t|S| <= t min(P, D_j) <= n - j, against (ii'). So some
-      u in T is outside U, S lies inside A_u, and that set's flow (or
-      the rule that skips it) answers yes. U's sets are therefore
-      deferred: they run, in their usual order, only once another set
-      has answered yes, so a yes runs every set as before and a no
-      never runs them. _deferred builds U from the smallest sets, the
-      last of the plan, and stops at the first set that would break a
-      condition, so a yes visits the sets in the order it always did.
-      The pairwise rule (ii), aP <= c(n - |U|), implies (ii') since
-      min(P, D_j) <= P and n - |U| <= n - j, so (ii') defers at least
-      the sets (ii) did. On G(n, 0.3) the final no defers nearly half of
-      the sets, and K_n (n >= 3, t = n - 1, every A_u a single vertex)
-      defers all.
+      u in T is outside U, S lies inside A_u, and that set's flow
+      answers yes. U's sets are therefore deferred: they run, in their
+      usual order, only once another set has answered yes, so a yes
+      runs every set as before and a no never runs them. _deferred
+      builds U from the smallest sets, the last of the plan, and stops
+      at the first set that would break a condition, so a yes visits
+      the sets in the order it always did. The pairwise rule (ii),
+      aP <= c(n - |U|), implies (ii') since min(P, D_j) <= P and
+      n - |U| <= n - j, so (ii') defers at least the sets (ii) did. On
+      G(n, 0.3) the final no defers nearly half of the sets, and K_n
+      (n >= 3, t = n - 1, every A_u a single vertex) defers all.
     """
+    if not isinstance(t, numbers.Rational):
+        raise DomainError(f"threshold must be an int or a Fraction, not {type(t).__name__}")
     t = Fraction(t)
     if t <= 0:
         raise DomainError("threshold must be positive")
@@ -619,26 +618,21 @@ def binding_below_threshold(
     if iso is not None:
         return True, iso.witness
     sets = _threshold_plan(g.adj)
-    net: Optional[_ThresholdNetwork] = None  # built when a set first needs it
+    net = _ThresholdNetwork(g.adj, a, c)
     best: Optional[tuple[int, int, int]] = None  # (num, den, mask)
-    settled: list[tuple[int, int]] = []  # (A', W') of the flow answers
+    w = 0  # the all-vertex witness W, at t <= 1
     if a <= c:
-        net = _ThresholdNetwork(g.adj, a, c)
         w = net.witness(g.mask_all)
         if not w:
             return False, None
         best = (g.neighborhood(w).bit_count(), w.bit_count(), w)
-        settled.append((g.mask_all, w))
     first = len(sets) - (_deferred(sets, g.n, a, c) if a > c else 0)
     for i, (sub, _, _) in enumerate(sets):
         if i == first and best is None:
             return False, None
-        if any(sub & ~outer == 0 and w & ~sub == 0 for outer, w in settled):
-            continue
-        if net is None:
-            net = _ThresholdNetwork(g.adj, a, c)
+        if w and w & ~sub == 0:
+            continue  # W is sub's witness too: the lattice argument with A' = V
         smask = net.witness(sub)
-        settled.append((sub, smask))
         if not smask:
             continue
         num = g.neighborhood(smask).bit_count()

@@ -5,11 +5,12 @@ indices e and e ^ 1, with a list of outgoing arc indices per node;
 iterative BFS and blocking-flow DFS. Capacities are python ints, so
 products like a*n never overflow.
 
-bindex itself runs only Dinic.maxflow, as the phase loop of
-binding._ThresholdNetwork: that subclass keeps no arc list, reads its
-middle arcs from adjacency masks and overrides _bfs and _dfs. The
-arc-list network here (add_edge, _bfs, _dfs, source_side) is the
-reference network the tests check it against.
+Dinic.maxflow is the bare phase loop of _bfs, which levels the residual
+network, and _dfs, which adds a blocking flow and resets its own state.
+bindex runs it only over binding._ThresholdNetwork, which keeps no arc
+list and overrides _bfs and _dfs by adjacency masks. The arc-list
+network here (add_edge, _bfs, _dfs, source_side) is the reference the
+tests check that one against.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class Dinic:
     def _dfs(self, s: int, t: int) -> int:
         # iterative blocking flow over the level graph
         total = 0
+        self.it[:] = [0] * self.n
         level, it, out, to, cap = self.level, self.it, self.out, self.to, self.cap
         path: list[int] = []
         v = s
@@ -100,7 +102,6 @@ class Dinic:
         """Augment to a maximum flow; returns the flow added by this call."""
         flow = 0
         while self._bfs(s, t):
-            self.it[:] = [0] * self.n
             flow += self._dfs(s, t)
         return flow
 

@@ -36,6 +36,7 @@ Lemma 6 part scans.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import json
@@ -110,14 +111,15 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         """Sweep table when present, otherwise one row of scalar counters,
-        with each dict counter flattened into name.key columns."""
+        with each dict counter flattened into name.key columns. Fields that
+        hold a comma, such as the label Kab(4,3), are quoted."""
         out = StringIO()
+        writer = csv.writer(out, lineterminator="\n")
         rows = self.counters.get("sweep")
         if rows:
             keys = list(rows[0].keys())
-            out.write(",".join(keys) + "\n")
-            for row in rows:
-                out.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
+            writer.writerow(keys)
+            writer.writerows([str(row.get(k, "")) for k in keys] for row in rows)
             return out.getvalue()
         scal = {}
         for key, value in self.counters.items():
@@ -125,8 +127,8 @@ class VerificationReport:
                 scal.update((f"{key}.{k}", v) for k, v in value.items())
             elif not isinstance(value, list):
                 scal[key] = value
-        out.write(",".join(scal.keys()) + "\n")
-        out.write(",".join(str(v) for v in scal.values()) + "\n")
+        writer.writerow(scal.keys())
+        writer.writerow(str(v) for v in scal.values())
         return out.getvalue()
 
     def to_text(self) -> str:

@@ -7,6 +7,7 @@ import operator
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,18 @@ def test_threshold_decision():
         binding_below_threshold(g, Fraction(-1, 2))
 
 
+def test_threshold_must_be_rational():
+    # b(K_{1,10}) = 1/10, and the float 0.1 lies just above 1/10, so taken
+    # as Fraction(0.1) it would answer yes; ints and Fractions are exact
+    g = complete_bipartite(1, 10)
+    assert binding_below_threshold(g, Fraction(1, 10)) == (False, None)
+    for t in (0.1, 1.0, Decimal("0.1")):
+        with pytest.raises(DomainError):
+            binding_below_threshold(g, t)
+    assert binding_below_threshold(complete(4), 3) == (False, None)
+    assert binding_below_threshold(complete(4), 4) == binding_below_threshold(complete(4), Fraction(4))
+
+
 def test_flow_equals_brute_random():
     rng = random.Random(1009)
     for n in (8, 10, 12):
@@ -564,7 +577,8 @@ def _nested_graphs(rng):
 
 
 def test_nested_neighbourhoods_match_oracles():
-    # nested allowed sets are where earlier flow witnesses settle later sets
+    # the allowed sets of these graphs nest, which stresses a network moved
+    # from a set to its subsets; no earlier answer settles a later set
     rng = random.Random(2290)
     graphs = _nested_graphs(rng)
     assert len(graphs) > 200
@@ -1010,6 +1024,40 @@ def test_final_no_runs_fewer_flows_than_allowed_sets(monkeypatch):
         calls.clear()
         assert binding_number_flow(complete(n)).value == n - 1
         assert calls == []
+
+
+def test_a_decision_runs_one_flow_per_visited_set(monkeypatch):
+    # no earlier answer spares a set its flow: at t <= 1 one flow over V,
+    # then one per allowed set missing a vertex of its witness W (none on
+    # a no); above 1 one per set a no does not defer, and one per set on
+    # a yes
+    calls = []
+    maxflow = Dinic.maxflow
+    monkeypatch.setattr(Dinic, "maxflow", lambda net, s, t: calls.append(s) or maxflow(net, s, t))
+    rng = random.Random(2300)
+    graphs = [_random_graph(rng, rng.randint(7, 8), rng.uniform(0.2, 0.8)) for _ in range(150)]
+    graphs += _nested_graphs(rng) + _twin_heavy_graphs(rng)
+    kinds = {"below yes": 0, "below no": 0, "above yes": 0, "above no": 0}
+    for g in graphs:
+        b = binding_number_bruteforce(g).value
+        if b == 0:
+            continue
+        plan = _threshold_plan(g.adj)
+        step = Fraction(1, g.n * g.n)
+        for t in (b - step, b, b + step):
+            a, c = t.numerator, t.denominator
+            ok, _ = _threshold_oracle(g, t)
+            if t <= 1:
+                low, args = _minimisers(g, g.mask_all, a, c)
+                w = functools.reduce(operator.and_, args) if low < 0 else 0
+                flows = 1 + sum(w & ~sub != 0 for sub, _, _ in plan) if ok else 1
+            else:
+                flows = len(plan) if ok else len(plan) - binding_module._deferred(plan, g.n, a, c)
+            calls.clear()
+            assert binding_below_threshold(g, t)[0] == ok, (g.adj, t)
+            assert len(calls) == flows, (g.adj, t, len(calls), flows)
+            kinds[("below " if t <= 1 else "above ") + ("yes" if ok else "no")] += 1
+    assert min(kinds.values()) > 200, kinds
 
 
 def _pinned_flow_graphs():

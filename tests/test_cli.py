@@ -1,6 +1,7 @@
 """Command line front end: grammar, output text, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -142,6 +143,17 @@ def test_verify_properties(capsys, monkeypatch):
     assert re.search(r'^failures = \{"independence": 0, "toughness": [1-9]\d*, ', out, re.M)
     assert run(["verify", "properties", "--n", "4", "--format", "csv"]) == 1
     assert re.match(r"64,exhaustive,None,0,[1-9]\d*,0,0,", capsys.readouterr().out.splitlines()[1])
+
+
+def test_verify_lemma6_csv_quotes_the_label(capsys):
+    # the predicted_extremal label D(1,3;1,2) holds commas, so a csv reader
+    # sees one field for it only if it is quoted
+    assert run(["verify", "lemma6", "--p", "4", "--q", "3", "--r", "2", "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(header) == len(row), (header, row)
+    fields = dict(zip(header, row))
+    assert fields["predicted_extremal"] == "D(1,3;1,2)"
+    assert fields["regime"] == "le6_case_iii"
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):
